@@ -175,7 +175,7 @@ let section_figure10 () =
       let inst = inst_of w in
       let piped, pr = time_keeping (fun () -> W.run_pipeline ~inst w) in
       let piped_insns =
-        pr.Gpu_runtime.Pipeline.machine_result.Simt.Machine.dyn_instructions
+        pr.Gpu_runtime.Session.sr_machine_result.Simt.Machine.dyn_instructions
       in
       Printf.printf "  %-18s %-9s %11.2f %11.2f %8.1fx %10.1fx\n" w.W.name
         w.W.suite (1000.0 *. native) (1000.0 *. piped) (piped /. native)
@@ -229,7 +229,7 @@ let section_queues () =
      drains them all, which is exactly the pipeline's structure. *)
   let total = 200_000 in
   let fill buf off =
-    Bytes.fill buf off Gpu_runtime.Record.wire_size 'x'
+    Bytes.fill buf off Barracuda.Wire.size 'x'
   in
   Printf.printf "  %7s %12s %14s %16s\n" "queues" "records/s" "records"
     "high watermark";
@@ -374,32 +374,29 @@ let section_parallel () =
   List.iter
     (fun name ->
       let w = Workloads.Registry.find name in
-      let config = { Gpu_runtime.Pipeline.default_config with queues = 2 } in
+      let queues = 2 in
       let inst = inst_of w in
-      let run_seq () =
-        let m = W.machine w in
-        let args = w.W.setup m in
-        Gpu_runtime.Pipeline.run ~config ~inst ~machine:m w.W.kernel args
-      in
+      let run_seq () = W.run_pipeline ~inst w in
       let run_par () =
-        let m = W.machine w in
-        let args = w.W.setup m in
-        Gpu_runtime.Pipeline.run_parallel ~config ~inst ~machine:m w.W.kernel
-          args
+        let sink, _ =
+          Gpu_runtime.Pipeline.parallel_sink ~queues ~layout:w.W.layout
+            w.W.kernel
+        in
+        W.run_pipeline ~sink ~inst w
       in
       let t_seq, sr = time_keeping run_seq in
       let t_par, pr = time_keeping run_par in
-      let verdict r =
-        Barracuda.Report.has_race (Gpu_runtime.Pipeline.report r)
+      let verdict (r : Gpu_runtime.Session.stream_result) =
+        Barracuda.Report.has_race r.Gpu_runtime.Session.sr_report
       in
       let same = verdict sr = verdict pr in
       Printf.printf "  %-18s %13.2f %12.2f %12b %8d\n" name (1000.0 *. t_seq)
-        (1000.0 *. t_par) same config.Gpu_runtime.Pipeline.queues)
+        (1000.0 *. t_par) same queues)
     subset;
   Printf.printf
     "  (this host has a single core, so the concurrent drain pays context\n\
     \   switches without gaining parallel speedup; the point here is the\n\
-    \   protocol — verdicts match the sequential pipeline)\n"
+    \   protocol — verdicts match the serial sink)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry: per-stage pipeline profile -> BENCH_pipeline.json        *)
@@ -506,9 +503,13 @@ let section_pipeline () =
   Telemetry.Registry.set_enabled true;
   Telemetry.Registry.reset registry;
   let t0 = Telemetry.Clock.now_ns () in
-  List.iter
-    (fun name -> ignore (W.run_pipeline (Workloads.Registry.find name)))
-    subset;
+  let records =
+    List.fold_left
+      (fun acc name ->
+        let r = W.run_pipeline (Workloads.Registry.find name) in
+        acc + r.Gpu_runtime.Session.sr_records)
+      0 subset
+  in
   let wall_ns = Telemetry.Clock.elapsed_ns ~since:t0 in
   Telemetry.Registry.set_enabled false;
   let totals = Telemetry.Span.totals ~registry () in
@@ -519,12 +520,7 @@ let section_pipeline () =
         (Telemetry.Clock.ns_to_ms ns)
         (100.0 *. Int64.to_float ns /. Int64.to_float (max 1L wall_ns)))
     totals;
-  let records =
-    Telemetry.Registry.find_counter registry "barracuda_pipeline_records_total"
-  in
-  Printf.printf "  records shipped %d, queue pushes %d, detector checks %d\n"
-    records
-    (Telemetry.Registry.find_counter registry "barracuda_queue_pushes_total")
+  Printf.printf "  records shipped %d, detector checks %d\n" records
     (Telemetry.Registry.find_counter registry "barracuda_detector_checks_total");
   let e2e =
     float_of_int records /. Telemetry.Clock.ns_to_s wall_ns
@@ -755,16 +751,10 @@ let section_shard () =
   header "Sharded detection engine: broadcast transport (BENCH_shard.json)";
   let w = Workloads.Registry.find "dxtc" in
   let run_serial () =
-    let m = W.machine w in
-    let args = w.W.setup m in
-    let r =
-      Gpu_runtime.Pipeline.run
-        ~config:{ Gpu_runtime.Pipeline.default_config with queues = 1 }
-        ~machine:m w.W.kernel args
-    in
-    ( r.Gpu_runtime.Pipeline.queue_stats.Gpu_runtime.Pipeline.records,
-      r.Gpu_runtime.Pipeline.detect_ns,
-      Barracuda.Report.has_race (Gpu_runtime.Pipeline.report r) )
+    let r = W.run_pipeline w in
+    ( r.Gpu_runtime.Session.sr_records,
+      r.Gpu_runtime.Session.sr_detect_ns,
+      Barracuda.Report.has_race r.Gpu_runtime.Session.sr_report )
   in
   let run_sharded shards () =
     let m = W.machine w in
@@ -774,7 +764,7 @@ let section_shard () =
         ~config:{ Shard.Pipeline.default_config with Shard.Pipeline.shards }
         ~machine:m w.W.kernel args
     in
-    ( r.Shard.Pipeline.queue_stats.Gpu_runtime.Pipeline.records,
+    ( r.Shard.Pipeline.records,
       r.Shard.Pipeline.detect_ns,
       Barracuda.Report.has_race r.Shard.Pipeline.report )
   in
@@ -1001,15 +991,9 @@ let section_static () =
      throughput numbers are comparable. *)
   let e2e name =
     let w = Workloads.Registry.find name in
-    let run static_prune =
-      let m = W.machine w in
-      let args = w.W.setup m in
-      let r =
-        Gpu_runtime.Pipeline.run
-          ~config:{ Gpu_runtime.Pipeline.default_config with static_prune }
-          ~machine:m w.W.kernel args
-      in
-      r.Gpu_runtime.Pipeline.queue_stats.Gpu_runtime.Pipeline.records
+    let run static =
+      let inst = Instrument.Pass.instrument ~prune:true ~static w.W.kernel in
+      (W.run_pipeline ~inst w).Gpu_runtime.Session.sr_records
     in
     let records_off = run false in
     let records_on = run true in

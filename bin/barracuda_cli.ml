@@ -140,8 +140,11 @@ let print_degraded_caveat report =
       (if i.Barracuda.Report.desync = 1 then "" else "s")
   end
 
-let print_verdict report =
-  let errors = Barracuda.Report.errors report in
+(* Errors print in the canonical order, the first [max_reports] of
+   them: the detector keeps every report, so the listing does not
+   depend on which backend detected the races or in what order. *)
+let print_verdict ~max_reports report =
+  let errors = Barracuda.Report.sorted_errors report in
   print_degraded_caveat report;
   if errors = [] then begin
     Format.printf "no races detected.@.";
@@ -150,7 +153,11 @@ let print_verdict report =
   else begin
     Format.printf "%d distinct races detected:@."
       (Barracuda.Report.race_count report);
-    List.iter (fun e -> Format.printf "  %a@." Barracuda.Report.pp_error e) errors;
+    List.iteri
+      (fun i e ->
+        if i < max_reports then
+          Format.printf "  %a@." Barracuda.Report.pp_error e)
+      errors;
     1
   end
 
@@ -161,9 +168,8 @@ let metrics_term =
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
           "Enable telemetry and write the metric registry as JSON to \
-           $(docv) ($(b,-) for stdout).  The run goes through the full \
-           instrument/execute/queue/decode/detect pipeline so all five \
-           stage spans are populated.")
+           $(docv) ($(b,-) for stdout).  Telemetry only observes: the \
+           code path and the verdict are the same as without it.")
 
 let write_metrics path =
   if path = "-" then
@@ -179,102 +185,56 @@ let check_cmd =
   let run layout file specs max_reports dump_trace metrics shards record =
     guard @@ fun () ->
     if shards < 1 then failwith "--shards must be at least 1";
-    if record <> None && shards > 1 then
-      failwith "--record is not supported together with --shards";
-    if record <> None && dump_trace <> None then
-      failwith "--record is not supported together with --dump-trace";
-    if record <> None && metrics <> None then
-      failwith "--record is not supported together with --metrics";
     let kernel = load_kernel file in
     let machine = Simt.Machine.create ~layout () in
     let args = resolve_args machine kernel specs in
-    let config = { Barracuda.Detector.default_config with max_reports } in
-    let infer = Gtrace.Infer.create ~layout kernel in
+    let detector =
+      { Barracuda.Detector.default_config with max_reports = max_int }
+    in
+    (* Every flag only adds a hook or picks a sink: the producer, the
+       executed kernel and so the verdict are the same under all of
+       them. *)
+    if metrics <> None then begin
+      Telemetry.Registry.set_enabled true;
+      Telemetry.Registry.reset Telemetry.Registry.default
+    end;
     let trace = ref [] in
-    let record_trace ev =
-      match dump_trace with
-      | Some _ -> trace := List.rev_append (Gtrace.Infer.feed infer ev) !trace
-      | None -> ()
+    let tee =
+      Option.map
+        (fun _ ->
+          let infer = Gtrace.Infer.create ~layout kernel in
+          fun ev -> trace := List.rev_append (Gtrace.Infer.feed infer ev) !trace)
+        dump_trace
     in
-    let write_trace () =
-      match dump_trace with
-      | Some path ->
-          let oc = open_out path in
-          Gtrace.Serialize.to_channel ~layout oc (List.rev !trace);
-          close_out oc;
-          Format.printf "trace written to %s@." path
-      | None -> ()
+    let capture = Option.map (fun _ -> Buffer.create 65536) record in
+    let sink =
+      if shards > 1 then
+        Some (Shard.Stream.sink ~config:detector ~layout ~shards kernel)
+      else None
     in
-    if shards > 1 then begin
-      (* Sharded detection: N detector domains over partitioned shadow
-         state, verdicts bitwise-identical to the serial pipeline.  The
-         trace tee lives on the serial pipeline only. *)
-      if dump_trace <> None then
-        failwith "--dump-trace is not supported together with --shards";
-      (match metrics with
-      | Some _ ->
-          Telemetry.Registry.set_enabled true;
-          Telemetry.Registry.reset Telemetry.Registry.default
-      | None -> ());
-      let pconfig =
-        { Shard.Pipeline.default_config with shards; detector = config }
-      in
-      let result = Shard.Pipeline.run_sharded ~config:pconfig ~machine kernel args in
-      print_machine_result kernel result.Shard.Pipeline.machine_result;
-      let code = print_verdict result.Shard.Pipeline.report in
-      (match metrics with Some path -> write_metrics path | None -> ());
-      code
-    end
-    else
-    match metrics with
-    | Some path ->
-        (* Telemetry run: the deployed pipeline (Figure 5) end-to-end,
-           so the exported registry covers every stage.  The kernel
-           executed is the instrumented one, exactly as deployed. *)
-        Telemetry.Registry.set_enabled true;
-        Telemetry.Registry.reset Telemetry.Registry.default;
-        let pconfig =
-          { Gpu_runtime.Pipeline.default_config with detector = config }
-        in
-        let result =
-          Gpu_runtime.Pipeline.run ~config:pconfig ~machine ~tee:record_trace
-            kernel args
-        in
-        write_trace ();
-        print_machine_result kernel result.Gpu_runtime.Pipeline.machine_result;
-        let code = print_verdict (Gpu_runtime.Pipeline.report result) in
-        write_metrics path;
-        code
-    | None when dump_trace <> None ->
-        (* The abstract-trace dump needs the raw interpreter events, so
-           it keeps the direct detector feed. *)
-        let detector = Barracuda.Detector.create ~config ~layout kernel in
-        let on_event ev =
-          record_trace ev;
-          Barracuda.Detector.feed detector ev
-        in
-        let result = Simt.Machine.launch machine kernel args ~on_event in
-        write_trace ();
-        print_machine_result kernel result;
-        print_verdict (Barracuda.Detector.report detector)
-    | None ->
-        (* The plain serial check is a thin driver over the streaming
-           session core; --record taps its capture hook. *)
-        let capture =
-          match record with Some _ -> Some (Buffer.create 65536) | None -> None
-        in
-        let result =
-          Gpu_runtime.Session.run_stream ~detector:config ?capture ~machine
-            kernel args
-        in
-        (match (record, capture) with
-        | Some path, Some buf ->
-            Gpu_runtime.Stream.write_file path ~layout buf;
-            Format.printf "stream recorded to %s (%d records)@." path
-              result.Gpu_runtime.Session.sr_records
-        | _ -> ());
-        print_machine_result kernel result.Gpu_runtime.Session.sr_machine_result;
-        print_verdict result.Gpu_runtime.Session.sr_report
+    let result =
+      Gpu_runtime.Session.run_stream ?sink ~detector ?capture ?tee ~machine
+        kernel args
+    in
+    Option.iter
+      (fun path ->
+        let oc = open_out path in
+        Gtrace.Serialize.to_channel ~layout oc (List.rev !trace);
+        close_out oc;
+        Format.printf "trace written to %s@." path)
+      dump_trace;
+    (match (record, capture) with
+    | Some path, Some buf ->
+        Gpu_runtime.Stream.write_file path ~layout buf;
+        Format.printf "stream recorded to %s (%d records)@." path
+          result.Gpu_runtime.Session.sr_records
+    | _ -> ());
+    print_machine_result kernel result.Gpu_runtime.Session.sr_machine_result;
+    let code =
+      print_verdict ~max_reports result.Gpu_runtime.Session.sr_report
+    in
+    Option.iter write_metrics metrics;
+    code
   in
   let max_reports =
     Arg.(value & opt int 50 & info [ "max-reports" ] ~docv:"N"
@@ -292,7 +252,7 @@ let check_cmd =
       & info [ "shards" ] ~docv:"N"
           ~doc:
             "Detector domains to shard detection across (default 1, the \
-             serial pipeline).  Shadow state is partitioned \
+             serial detector).  Shadow state is partitioned \
              deterministically; verdicts are identical at every shard \
              count.")
   in
@@ -303,8 +263,9 @@ let check_cmd =
       & info [ "record" ] ~docv:"FILE"
           ~doc:
             "Record the sealed wire-record stream (with store values) to \
-             $(docv) while checking.  The recording replays through \
-             $(b,barracuda stream) with a bitwise-identical verdict.")
+             $(docv) while checking; combines with every other flag.  The \
+             recording replays through $(b,barracuda stream) with a \
+             bitwise-identical verdict.")
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Race-check a PTX kernel on the simulator.")
@@ -313,7 +274,7 @@ let check_cmd =
       $ dump_trace $ metrics_term $ shards $ record)
 
 let profile_cmd =
-  let stage_order = [ "instrument"; "execute"; "queue"; "decode"; "detect" ] in
+  let stage_order = [ "instrument"; "execute"; "queue"; "detect" ] in
   let run layout file specs parallel queues metrics prom =
     guard @@ fun () ->
     let kernel = load_kernel file in
@@ -321,15 +282,18 @@ let profile_cmd =
     let args = resolve_args machine kernel specs in
     Telemetry.Registry.set_enabled true;
     Telemetry.Registry.reset Telemetry.Registry.default;
-    let config = { Gpu_runtime.Pipeline.default_config with queues } in
     let t0 = Telemetry.Clock.now_ns () in
-    let result =
+    let inst = Instrument.Pass.instrument ~prune:true ~static:true kernel in
+    let sink =
       if parallel then
-        Gpu_runtime.Pipeline.run_parallel ~config ~machine kernel args
-      else Gpu_runtime.Pipeline.run ~config ~machine kernel args
+        Some (fst (Gpu_runtime.Pipeline.parallel_sink ~queues ~layout kernel))
+      else None
+    in
+    let result =
+      Gpu_runtime.Session.run_stream ?sink ~inst ~machine kernel args
     in
     let total_ns = Telemetry.Clock.elapsed_ns ~since:t0 in
-    print_machine_result kernel result.Gpu_runtime.Pipeline.machine_result;
+    print_machine_result kernel result.Gpu_runtime.Session.sr_machine_result;
     let totals = Telemetry.Span.totals () in
     let by_name n = List.assoc_opt n totals in
     Format.printf "@.%-12s %12s %12s %12s %8s@." "stage" "calls" "total ms"
@@ -346,10 +310,7 @@ let profile_cmd =
         share
     in
     List.iter
-      (fun name ->
-        match by_name name with
-        | Some t -> row name t
-        | None -> row name (0, 0L))
+      (fun name -> Option.iter (row name) (by_name name))
       stage_order;
     List.iter
       (fun (name, t) ->
@@ -364,7 +325,7 @@ let profile_cmd =
     List.iter
       (fun (label, v) -> Format.printf "  %-34s %12d@." label v)
       [
-        ("records shipped", c "barracuda_pipeline_records_total");
+        ("records shipped", result.Gpu_runtime.Session.sr_records);
         ("producer stalls", c "barracuda_pipeline_stalls_total");
         ("queue pushes", c "barracuda_queue_pushes_total");
         ("queue pops", c "barracuda_queue_pops_total");
@@ -377,7 +338,7 @@ let profile_cmd =
         ("full vector-clock scans", c "barracuda_detector_vc_full_total");
         ("race observations", c "barracuda_detector_races_total");
       ];
-    let report = Gpu_runtime.Pipeline.report result in
+    let report = result.Gpu_runtime.Session.sr_report in
     Format.printf "@.%d distinct races reported.@."
       (Barracuda.Report.race_count report);
     (match metrics with Some path -> write_metrics path | None -> ());
@@ -399,11 +360,12 @@ let profile_cmd =
     Arg.(value & flag
            & info [ "parallel" ]
                ~doc:"Profile the concurrent host (one consumer domain per \
-                     queue) instead of the sequential pipeline.")
+                     queue) instead of the serial detector.")
   in
   let queues =
-    Arg.(value & opt int Gpu_runtime.Pipeline.default_config.Gpu_runtime.Pipeline.queues
-           & info [ "queues" ] ~docv:"N" ~doc:"GPU->host log queues.")
+    Arg.(value & opt int Gpu_runtime.Pipeline.default_queues
+           & info [ "queues" ] ~docv:"N"
+               ~doc:"GPU->host log queues of $(b,--parallel).")
   in
   let prom =
     Arg.(value & opt (some string) None
@@ -413,7 +375,7 @@ let profile_cmd =
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "Run the full pipeline with telemetry enabled and print a \
+         "Run the instrumented check with telemetry enabled and print a \
           per-stage time/count breakdown.")
     Term.(
       const run $ layout_term $ file_term $ args_term $ parallel $ queues

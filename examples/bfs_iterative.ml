@@ -72,7 +72,7 @@ let () =
           Int64.of_int more;
         |]
     in
-    assert (result.Gpu_runtime.Pipeline.machine_result.Simt.Machine.status
+    assert (result.Session.sr_machine_result.Simt.Machine.status
             = Simt.Machine.Completed);
     continue_ := Simt.Machine.peek m ~addr:more ~width:4 <> 0L;
     let f = !frontier in

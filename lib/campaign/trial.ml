@@ -48,11 +48,13 @@ let class_names = List.map fst transport_classes
 let pipeline_verdict ?fault (case : Case.t) =
   let machine = Simt.Machine.create ~layout:case.Case.layout () in
   let args = case.Case.setup machine in
-  let config = { Gpu_runtime.Pipeline.default_config with fault } in
   let result =
-    Gpu_runtime.Pipeline.run ~config ~machine case.Case.kernel args
+    Gpu_runtime.Session.run_stream ?fault
+      ~inst:
+        (Instrument.Pass.instrument ~prune:true ~static:true case.Case.kernel)
+      ~machine case.Case.kernel args
   in
-  let report = Gpu_runtime.Pipeline.report result in
+  let report = result.Gpu_runtime.Session.sr_report in
   (Barracuda.Report.has_race report, Barracuda.Report.degraded report)
 
 let transport_trial ~baseline_race ~plan case cell =

@@ -106,7 +106,7 @@ type stats = {
 }
 
 (* Counters are atomics and the warp-level record id is threaded
-   through each feed call explicitly: [feed]/[feed_record] may be
+   through each feed call explicitly: [feed_record] may be
    invoked from one host domain per queue (§4.3).  Per-warp clock state
    needs no lock because each thread block logs to exactly one queue,
    so one domain owns each warp; shadow cells carry the paper's
@@ -124,6 +124,7 @@ type t = {
   records : int Atomic.t;
   census : int Atomic.t array; (* converged/diverged/nested/sparse *)
   seq_next : int Atomic.t array; (* per-producer expected sequence number *)
+  stage : Bytes.t; (* [feed]'s serialization buffer *)
   owns : (Ptx.Ast.space -> int -> int -> bool) option;
       (* shadow-cell ownership predicate for sharded detection: when
          present, only cells it accepts are checked (and their pages
@@ -136,10 +137,29 @@ type t = {
    advanced by the one consumer domain that owns that queue. *)
 let max_srcs = 64
 
+let no_values : int64 array = [||]
+
+(* Forced by [create], on the creating domain: consumer domains (the
+   parallel sink, shard engines) feed concurrently, and two domains
+   forcing one unforced lazy at once raise [CamlinternalLazy.Undefined]. *)
+let force_handles () =
+  List.iter
+    (fun m -> ignore (Lazy.force m))
+    [ m_checks; m_records; m_races; m_epoch_fast; m_vc_full; m_inplace;
+      m_int_corrupt; m_int_gap; m_int_stale; m_int_desync ];
+  ignore (Lazy.force sp_feed_record)
+
 let create ?(config = default_config) ?owns ~layout kernel =
+  force_handles ();
+  if layout.Layout.warp_size > Wire.max_lanes then
+    invalid_arg
+      (Printf.sprintf
+         "warp size %d exceeds the %d lanes a wire record carries"
+         layout.Layout.warp_size Wire.max_lanes);
   {
     layout;
     config;
+    stage = Bytes.create Wire.size;
     owns;
     roles = Gtrace.Roles.classify kernel;
     warps =
@@ -367,10 +387,9 @@ let do_lane_data t ~rid ~wc ~lane ~tid ~insn ~cls ~space ~region ~addr ~width
     end
   done
 
-(* Per-lane dispatch shared by the event path ([feed]) and the wire
-   path ([feed_record]).  The access kind arrives as its wire opcode so
-   neither path materializes a [Simt.Event.access_kind] (the [Atomic _]
-   constructor would allocate). *)
+(* Per-lane dispatch of one access record.  The access kind arrives as
+   its wire opcode so no [Simt.Event.access_kind] is materialized (the
+   [Atomic _] constructor would allocate). *)
 let do_lane t ~rid ~wc ~lane ~tid ~insn ~opc ~role ~space ~region ~addr ~width
     ~value =
   let is_load = opc = Wire.op_load in
@@ -405,33 +424,6 @@ let do_lane t ~rid ~wc ~lane ~tid ~insn ~opc ~role ~space ~region ~addr ~width
         do_release t ~wc ~lane ~loc s
       end
 
-let process_access t ~rid (a : Simt.Event.mem_access) =
-  match a.Simt.Event.space with
-  | Ptx.Ast.Local | Ptx.Ast.Param -> () (* thread-private: cannot race *)
-  | (Ptx.Ast.Global | Ptx.Ast.Shared) as space ->
-      let warp = a.Simt.Event.warp in
-      let wc = t.warps.(warp) in
-      census_bump t wc;
-      let region =
-        match space with
-        | Ptx.Ast.Shared -> Layout.block_of_warp t.layout warp
-        | _ -> 0
-      in
-      let insn = a.Simt.Event.insn in
-      let role = t.roles.(insn) in
-      let opc = Wire.opcode_of_kind a.Simt.Event.kind in
-      let mask = a.Simt.Event.mask in
-      let ws = Array.length a.Simt.Event.addrs in
-      for lane = 0 to ws - 1 do
-        if mask land (1 lsl lane) <> 0 then
-          let tid = Layout.tid_of_warp_lane t.layout ~warp ~lane in
-          do_lane t ~rid ~wc ~lane ~tid ~insn ~opc ~role ~space ~region
-            ~addr:a.Simt.Event.addrs.(lane) ~width:a.Simt.Event.width
-            ~value:a.Simt.Event.values.(lane)
-      done;
-      (* endi: join-and-fork the active lanes *)
-      Warp_clocks.join_fork wc ~mask
-
 let do_barrier t block =
   let wpb = Layout.warps_per_block t.layout in
   let first = block * wpb in
@@ -448,23 +440,6 @@ let do_barrier t block =
   for i = first to first + wpb - 1 do
     Warp_clocks.apply_barrier t.warps.(i) ~clock:!clock ~overlay:!overlay
   done
-
-let feed t event =
-  let rid = Atomic.fetch_and_add t.record_id 1 + 1 in
-  Atomic.incr t.records;
-  Telemetry.Metric.counter_incr (Lazy.force m_records);
-  match event with
-  | Simt.Event.Access a -> process_access t ~rid a
-  | Simt.Event.Fence _ -> ()
-  | Simt.Event.Branch_if { warp; then_mask; else_mask; _ } ->
-      Warp_clocks.push_if t.warps.(warp) ~then_mask ~else_mask
-  | Simt.Event.Branch_else { warp; mask } | Simt.Event.Branch_fi { warp; mask }
-    ->
-      Warp_clocks.pop_path t.warps.(warp) ~mask
-  | Simt.Event.Barrier { block } -> do_barrier t block
-  | Simt.Event.Barrier_divergence { warp; insn; _ } ->
-      Report.add_barrier_divergence t.report ~warp ~insn
-  | Simt.Event.Kernel_done -> ()
 
 (* The in-place entry: consume a 280-byte record directly out of a
    transport buffer.  The view (buf, pos) is only guaranteed valid for
@@ -575,6 +550,26 @@ let feed_record_from t ~src ~values buf ~pos =
       (Telemetry.Clock.elapsed_ns ~since:t0)
 
 let feed_record t ~values buf ~pos = feed_record_from t ~src:0 ~values buf ~pos
+
+(* The event entry serializes through the shared event->record mapping
+   into the detector's private stage and runs the same record path, so
+   [run] and every direct feeder check exactly what the transport
+   ships.  Fences and kernel completion produce no record. *)
+let feed t ev =
+  let insn =
+    match ev with
+    | Simt.Event.Access a -> a.Simt.Event.insn
+    | Simt.Event.Branch_if { insn; _ } -> insn
+    | _ -> -1
+  in
+  if Wire.write_event t.stage ~pos:0 ~insn ev then begin
+    Atomic.incr t.records;
+    Telemetry.Metric.counter_incr (Lazy.force m_records);
+    let values =
+      match ev with Simt.Event.Access a -> a.Simt.Event.values | _ -> no_values
+    in
+    process_record t ~values t.stage ~pos:0
+  end
 
 let stats t =
   let c = Atomic.get t.census.(0)

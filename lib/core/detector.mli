@@ -1,8 +1,9 @@
-(** The BARRACUDA race detector (optimized, event-driven).
+(** The BARRACUDA race detector (optimized, record-driven).
 
-    Consumes the simulator's warp-level events directly — mirroring the
-    real system, where the host detector processes fixed-size warp
-    records drained from GPU queues — and implements the operational
+    Consumes fixed-size warp records ({!Wire}) — as the real system's
+    host detector does with records drained from GPU queues; simulator
+    events fed through {!feed} are serialized into the same records
+    first — and implements the operational
     semantics of Figures 2–3 with all of the paper's optimizations:
 
     - per-thread vector clocks compressed at warp granularity
@@ -61,10 +62,17 @@ val create :
     locations, barriers — still processes the full record stream, so a
     detector restricted by [owns] has bit-identical clock state to an
     unrestricted one and reports exactly the subset of races whose
-    location it owns.  Omitted (the default): all cells are checked. *)
+    location it owns.  Omitted (the default): all cells are checked.
+    @raise Invalid_argument if the layout's warp size exceeds
+    {!Wire.max_lanes}: a record could not carry every lane. *)
 
 val feed : t -> Simt.Event.t -> unit
-(** Consume one decoded warp-level event. *)
+(** Consume one simulator event: serialize it with {!Wire.write_event}
+    into the detector's private staging record and process that record
+    exactly as {!feed_record} would (without integrity checks — the
+    record never crossed a transport).  Fences and kernel completion
+    produce no record.  Single-producer: the staging record is shared,
+    so call it from one domain at a time. *)
 
 val feed_record : t -> values:int64 array -> Bytes.t -> pos:int -> unit
 (** Consume one 280-byte wire record ({!Wire}) in place at offset
@@ -73,8 +81,7 @@ val feed_record : t -> values:int64 array -> Bytes.t -> pos:int -> unit
     the duration of the call (for queue rings: the slot may be
     released as soon as this returns).  [values] is the store/atomic
     lane-value side channel; pass [[||]] when absent (the same-value
-    write filter then compares zeros, as {!Record.of_bytes} without
-    [?values] would).
+    write filter then compares zeros).
 
     With [config.check_integrity] (the default) the record must have
     been {!Wire.seal}ed by its producer: magic, version, checksum, and
@@ -102,5 +109,6 @@ val run :
   Ptx.Ast.kernel ->
   int64 array ->
   t * Simt.Machine.result
-(** Convenience: launch the kernel on [machine] with the detector
-    attached to the event stream. *)
+(** Convenience: launch the kernel on [machine] with {!feed} attached
+    to the event stream, so every event takes the product's wire-record
+    path. *)

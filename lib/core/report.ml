@@ -115,6 +115,9 @@ let add_barrier_divergence t ~warp ~insn =
     end
   end
 
+let note_unlisted_races t n =
+  locked t @@ fun () -> t.race_count <- t.race_count + n
+
 let note_corrupt t = locked t @@ fun () -> t.corrupt <- t.corrupt + 1
 let note_gap t n = locked t @@ fun () -> t.gaps <- t.gaps + n
 let note_stale t = locked t @@ fun () -> t.stale <- t.stale + 1
@@ -157,3 +160,40 @@ let pp_error ppf = function
         (if r.same_instruction then " (same instruction)" else "")
   | Barrier_divergence { warp; insn } ->
       Format.fprintf ppf "barrier divergence: warp %d at insn %d" warp insn
+
+let kind_code = function Read -> 0 | Write -> 1 | Atomic_rmw -> 2
+
+let compare_race a b =
+  let c = Gtrace.Loc.compare a.loc b.loc in
+  if c <> 0 then c
+  else
+    let c = compare a.prev_tid b.prev_tid in
+    if c <> 0 then c
+    else
+      let c = compare (kind_code a.prev_kind) (kind_code b.prev_kind) in
+      if c <> 0 then c
+      else
+        let c = compare a.cur_tid b.cur_tid in
+        if c <> 0 then c
+        else
+          let c = compare (kind_code a.cur_kind) (kind_code b.cur_kind) in
+          if c <> 0 then c
+          else
+            let c = compare a.same_instruction b.same_instruction in
+            if c <> 0 then c
+            else
+              let c = compare a.prev_insn b.prev_insn in
+              if c <> 0 then c else compare a.cur_insn b.cur_insn
+
+let sorted_errors t =
+  let races, divs =
+    List.partition_map
+      (function
+        | Race r -> Left r
+        | Barrier_divergence { warp; insn } -> Right (warp, insn))
+      (errors t)
+  in
+  List.map (fun r -> Race r) (List.sort compare_race races)
+  @ List.map
+      (fun (warp, insn) -> Barrier_divergence { warp; insn })
+      (List.sort_uniq compare divs)

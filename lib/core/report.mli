@@ -61,6 +61,15 @@ val add_barrier_divergence : t -> warp:int -> insn:int -> unit
 val errors : t -> error list
 (** In detection order, capped at [max_reports]. *)
 
+val compare_race : race -> race -> int
+(** A total order independent of detection order: location, thread
+    pair, kind pair, then instruction ids. *)
+
+val sorted_errors : t -> error list
+(** {!errors} in a canonical order — races by {!compare_race}, then
+    barrier divergences by (warp, insn) — so reports of the same
+    errors print identically whichever backend detected them. *)
+
 val race_count : t -> int
 (** Distinct races detected (dedup key above), even beyond the cap. *)
 
@@ -78,6 +87,10 @@ val has_race : t -> bool
     caveat on the verdict, never as a crash. *)
 
 type integrity = { corrupt : int; gaps : int; stale : int; desync : int }
+
+val note_unlisted_races : t -> int -> unit
+(** Count [n] distinct races that were detected elsewhere but never
+    listed here (a merge of reports each capped at [max_reports]). *)
 
 val note_corrupt : t -> unit
 (** A record failed its magic/version/checksum validation and was

@@ -6,7 +6,7 @@ let sweep ?(warp_sizes = [ 4; 8; 16; 32 ]) ?config ~layout ~setup kernel =
   let sizes =
     List.sort_uniq Int.compare
       (layout.Vclock.Layout.warp_size :: warp_sizes)
-    |> List.filter (fun ws -> ws >= 1 && ws <= tpb && ws <= 62)
+    |> List.filter (fun ws -> ws >= 1 && ws <= tpb && ws <= Wire.max_lanes)
   in
   let verdicts =
     List.map

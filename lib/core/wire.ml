@@ -43,29 +43,10 @@ let atomic_code = function
   | Ptx.Ast.A_inc -> 8
   | Ptx.Ast.A_dec -> 9
 
-let atomic_of_code = function
-  | 0 -> Ptx.Ast.A_add
-  | 1 -> Ptx.Ast.A_exch
-  | 2 -> Ptx.Ast.A_cas
-  | 3 -> Ptx.Ast.A_min
-  | 4 -> Ptx.Ast.A_max
-  | 5 -> Ptx.Ast.A_and
-  | 6 -> Ptx.Ast.A_or
-  | 7 -> Ptx.Ast.A_xor
-  | 8 -> Ptx.Ast.A_inc
-  | _ -> Ptx.Ast.A_dec
-
 let opcode_of_kind = function
   | Simt.Event.Load -> op_load
   | Simt.Event.Store -> op_store
   | Simt.Event.Atomic op -> op_atomic_first + atomic_code op
-
-let kind_of_opcode opc =
-  if opc = op_load then Simt.Event.Load
-  else if opc = op_store then Simt.Event.Store
-  else if is_atomic opc then
-    Simt.Event.Atomic (atomic_of_code (opc - op_atomic_first))
-  else invalid_arg (Printf.sprintf "Wire.kind_of_opcode: bad opcode %d" opc)
 
 let space_code = function
   | Ptx.Ast.Global -> 0
@@ -150,6 +131,36 @@ let write_barrier b ~pos ~warp ~insn ~mask ~block =
 let write_barrier_divergence b ~pos ~warp ~insn ~mask ~expected =
   write_header b ~pos ~opcode:op_barrier_divergence ~width:0 ~aux:expected
     ~mask ~warp ~insn
+
+(* The event->record mapping every producer shares ([Session.drive]
+   and [Detector.feed]).  [insn] is the static index stamped on access
+   and branch_if records — the producer's remapping of the event's own
+   index; else/fi and barrier records carry none, and a divergence
+   keeps its own.  Matching on the event allocates nothing. *)
+let write_event b ~pos ~insn ev =
+  match ev with
+  | Simt.Event.Access a ->
+      write_access b ~pos ~kind:a.Simt.Event.kind ~space:a.Simt.Event.space
+        ~width:a.Simt.Event.width ~mask:a.Simt.Event.mask
+        ~warp:a.Simt.Event.warp ~insn ~addrs:a.Simt.Event.addrs;
+      true
+  | Simt.Event.Branch_if { warp; then_mask; else_mask; _ } ->
+      write_branch_if b ~pos ~mask:(then_mask lor else_mask) ~warp ~insn
+        ~then_mask ~else_mask;
+      true
+  | Simt.Event.Branch_else { warp; mask } ->
+      write_branch_else b ~pos ~warp ~insn:(-1) ~mask;
+      true
+  | Simt.Event.Branch_fi { warp; mask } ->
+      write_branch_fi b ~pos ~warp ~insn:(-1) ~mask;
+      true
+  | Simt.Event.Barrier { block } ->
+      write_barrier b ~pos ~warp:(-1) ~insn:(-1) ~mask:0 ~block;
+      true
+  | Simt.Event.Barrier_divergence { warp; insn; mask; expected } ->
+      write_barrier_divergence b ~pos ~warp ~insn ~mask ~expected;
+      true
+  | Simt.Event.Fence _ | Simt.Event.Kernel_done -> false
 
 (* Integrity: a rotate-XOR checksum over the covered region — the
    header (minus the checksum field itself), a length prefix, and

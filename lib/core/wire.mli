@@ -1,7 +1,8 @@
 (** The 280-byte record wire format — the paper's 272-byte layout
     (§4.2, Figure 6) extended with an 8-byte integrity prefix — shared
-    between the runtime transport ([Gpu_runtime.Record]/[Queue]) and
-    the detector's in-place {!Detector.feed_record} path.
+    between the runtime transport ([Gpu_runtime.Session] sinks and
+    [Queue] rings) and the detector's in-place {!Detector.feed_record}
+    path.
 
     Layout, [pos] being the byte offset of the record inside a larger
     buffer (a queue ring slot or a standalone [Bytes.t]):
@@ -69,11 +70,6 @@ val is_access : int -> bool
 val is_atomic : int -> bool
 val opcode_of_kind : Simt.Event.access_kind -> int
 
-val kind_of_opcode : int -> Simt.Event.access_kind
-(** Allocates for atomics; decode path only.
-    @raise Invalid_argument on a non-access opcode. *)
-
-val atomic_of_code : int -> Ptx.Ast.atom_op
 val space_code : Ptx.Ast.space -> int
 val space_of_code : int -> Ptx.Ast.space
 
@@ -115,6 +111,15 @@ val write_barrier :
 
 val write_barrier_divergence :
   Bytes.t -> pos:int -> warp:int -> insn:int -> mask:int -> expected:int -> unit
+
+val write_event : Bytes.t -> pos:int -> insn:int -> Simt.Event.t -> bool
+(** Serialize one simulator event into the record at [pos]: the one
+    event-to-record mapping every producer shares.  [insn] is the
+    static instruction index carried by access and branch_if records
+    (the producer's remapping of the event's own index); else/fi and
+    barrier records carry [-1], barrier divergence keeps the event's
+    index.  Returns [false], writing nothing, for events that produce
+    no record ([Fence], [Kernel_done]).  Allocation-free. *)
 
 (** {1 Integrity}
 

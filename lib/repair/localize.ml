@@ -45,11 +45,15 @@ let diagnose ?(max_steps = 400_000) ~layout
   in
   let machine = Simt.Machine.create ~layout () in
   let args = setup machine in
-  let result = Gpu_runtime.Pipeline.run ~max_steps ~tee ~machine kernel args in
-  let report = Gpu_runtime.Pipeline.report result in
+  let result =
+    Gpu_runtime.Session.run_stream ~max_steps ~tee
+      ~inst:(Instrument.Pass.instrument ~prune:true ~static:true kernel)
+      ~machine kernel args
+  in
+  let report = result.Gpu_runtime.Session.sr_report in
   let observed_racy = Report.has_race report in
   let bardiv =
-    result.Gpu_runtime.Pipeline.machine_result.Simt.Machine.barrier_divergence
+    result.Gpu_runtime.Session.sr_machine_result.Simt.Machine.barrier_divergence
     || bardiv_reported report
   in
   let pairs = ref [] and spaces = ref [] in

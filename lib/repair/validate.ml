@@ -38,10 +38,9 @@ type verdict = Accepted of Ptx.Ast.kernel * string | Rejected of string
 (** [Accepted (reparsed, ptx)] carries the printed artifact and its
     re-parse, which is what every validation stage actually ran. *)
 
-let bardiv_of result =
-  let report = Gpu_runtime.Pipeline.report result in
-  result.Gpu_runtime.Pipeline.machine_result.Simt.Machine.barrier_divergence
-  || Localize.bardiv_reported report
+let bardiv_of (result : Gpu_runtime.Session.stream_result) =
+  result.Gpu_runtime.Session.sr_machine_result.Simt.Machine.barrier_divergence
+  || Localize.bardiv_reported result.Gpu_runtime.Session.sr_report
 
 let race_summary report =
   String.concat "; "
@@ -51,13 +50,14 @@ let race_summary report =
           (Format.asprintf "%a" Report.pp_error)
           (Report.errors report)))
 
-let run_serial ~config ~layout ~setup kernel =
+(* The serial check as deployed: the instrumented kernel through
+   [Session.run_stream]. *)
+let run_serial ?fault ~config ~layout ~setup kernel =
   let machine = Simt.Machine.create ~layout () in
   let args = setup machine in
-  let result =
-    Gpu_runtime.Pipeline.run ~max_steps:config.max_steps ~machine kernel args
-  in
-  result
+  Gpu_runtime.Session.run_stream ?fault ~max_steps:config.max_steps
+    ~inst:(Instrument.Pass.instrument ~prune:true ~static:true kernel)
+    ~machine kernel args
 
 let rec check ~config ~layout ~setup ~baseline_bardiv kernel =
   (* 1. roundtrip through the printer and parser *)
@@ -98,9 +98,9 @@ let rec check ~config ~layout ~setup ~baseline_bardiv kernel =
                 (Printf.sprintf "serial check crashed (%s)"
                    (Printexc.to_string exn))
           | result -> (
-              let report = Gpu_runtime.Pipeline.report result in
+              let report = result.Gpu_runtime.Session.sr_report in
               let status =
-                result.Gpu_runtime.Pipeline.machine_result.Simt.Machine.status
+                result.Gpu_runtime.Session.sr_machine_result.Simt.Machine.status
               in
               if status <> Simt.Machine.Completed then
                 Rejected "patched kernel exhausts its step budget"
@@ -119,7 +119,7 @@ let rec check ~config ~layout ~setup ~baseline_bardiv kernel =
                       (Printf.sprintf "rerun crashed (%s)"
                          (Printexc.to_string exn))
                 | result2 ->
-                    let report2 = Gpu_runtime.Pipeline.report result2 in
+                    let report2 = result2.Gpu_runtime.Session.sr_report in
                     if
                       Report.has_race report2
                       || bardiv_of result2 <> bardiv_of result
@@ -187,21 +187,13 @@ and validate_faults ~config ~layout ~setup ~baseline_bardiv:_ ~kernel ~ptx =
             duplicate = 0.03;
           }
       in
-      let machine = Simt.Machine.create ~layout () in
-      let args = setup machine in
-      let pconfig =
-        { Gpu_runtime.Pipeline.default_config with fault = Some plan }
-      in
-      match
-        Gpu_runtime.Pipeline.run ~config:pconfig ~max_steps:config.max_steps
-          ~machine kernel args
-      with
+      match run_serial ~fault:plan ~config ~layout ~setup kernel with
       | exception exn ->
           Rejected
             (Printf.sprintf "fault trial %d crashed (%s)" i
                (Printexc.to_string exn))
       | result ->
-          let report = Gpu_runtime.Pipeline.report result in
+          let report = result.Gpu_runtime.Session.sr_report in
           if Report.has_race report && not (Report.degraded report) then
             Rejected
               (Printf.sprintf "fault trial %d reports an undegraded race" i)

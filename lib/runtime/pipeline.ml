@@ -1,203 +1,21 @@
 module Wire = Barracuda.Wire
 
-type config = {
-  queues : int;
-  queue_capacity : int;
-  prune : bool;
-  static_prune : bool;
-  detector : Barracuda.Detector.config;
-  fault : Fault.Plan.t option;
-      (* seeded transport/machine fault injection; None in production *)
-}
+let default_queues = 4
+let default_queue_capacity = 4096
 
-let default_config =
-  {
-    queues = 4;
-    queue_capacity = 4096;
-    prune = true;
-    static_prune = true;
-    detector = Barracuda.Detector.default_config;
-    fault = None;
-  }
-
-type queue_stats = {
-  records : int;
-  bytes : int;
-  stalls : int;
-  high_watermark : int;
-}
-
-type result = {
-  detector : Barracuda.Detector.t;
-  machine_result : Simt.Machine.result;
-  instr_stats : Instrument.Stats.t;
-  queue_stats : queue_stats;
-  detect_ns : int64;
-      (* time inside [feed_record_from]: summed for [run], the busiest
-         consumer domain for [run_parallel] — measured even with
-         telemetry disabled, so the service can report per-job detect
-         latency without the global sink *)
-}
-
-let report r = Barracuda.Detector.report r.detector
-
-(* Telemetry: per-stage spans plus pipeline counters.  Stage handles
-   are resolved once per run (registration takes a mutex) and then
-   updated lock-free from whichever domain runs the stage.  With
-   telemetry disabled every hook is a single flag check. *)
-type stages = {
-  sp_execute : Telemetry.Span.h;
-  sp_queue : Telemetry.Span.h;
-  sp_decode : Telemetry.Span.h;
-      (* the in-place pipeline no longer decodes; the stage reads zero
-         unless something regresses onto [Record.of_bytes] *)
-  sp_detect : Telemetry.Span.h;
-  m_records : Telemetry.Metric.counter;
-  m_stalls : Telemetry.Metric.counter;
-}
-
-let stages () =
-  let reg = Telemetry.Registry.default in
-  {
-    sp_execute = Telemetry.Span.create "execute";
-    sp_queue = Telemetry.Span.create "queue";
-    sp_decode = Telemetry.Span.create "decode";
-    sp_detect = Telemetry.Span.create "detect";
-    m_records =
-      Telemetry.Registry.counter
-        ~help:"Records shipped through the pipeline" reg
-        "barracuda_pipeline_records_total";
-    m_stalls =
-      Telemetry.Registry.counter
-        ~help:"Producer stalls on full queues" reg
-        "barracuda_pipeline_stalls_total";
-  }
-
-(* Manual span timing: [tm_now] returns 0 when telemetry is off, so the
-   steady state pays one flag check and no boxed clock read. *)
-let tm_now () =
-  if Telemetry.Registry.enabled () then Telemetry.Clock.now_ns () else 0L
-
-let tm_record sp t0 =
-  if not (Int64.equal t0 0L) then
-    Telemetry.Span.record_ns sp (Telemetry.Clock.elapsed_ns ~since:t0)
-
-(* The execute stage is the machine's own time: total launch time
-   minus time spent inside the event callback (which belongs to the
-   queue/detect stages it invokes). *)
-let launch_timed st ?max_steps ?deadline_ns ?fault machine kernel args
-    ~on_event =
-  if not (Telemetry.Registry.enabled ()) then
-    Simt.Machine.launch ?max_steps ?deadline_ns ?fault machine kernel args
-      ~on_event
-  else begin
-    let cb_ns = ref 0L in
-    let on_event ev =
-      let t0 = Telemetry.Clock.now_ns () in
-      on_event ev;
-      cb_ns := Int64.add !cb_ns (Telemetry.Clock.elapsed_ns ~since:t0)
-    in
-    let t0 = Telemetry.Clock.now_ns () in
-    let result =
-      Simt.Machine.launch ?max_steps ?deadline_ns ?fault machine kernel args
-        ~on_event
-    in
-    Telemetry.Span.record_ns st.sp_execute
-      (Int64.sub (Telemetry.Clock.elapsed_ns ~since:t0) !cb_ns);
-    result
-  end
-
-(* Consumer-side transport-fault injection: applied between [peek] and
-   [feed_record], i.e. to committed, sealed records — exactly where a
-   real DMA/interconnect fault would land.  All state is owned by the
-   one consumer (domain) of each queue.  Delayed records are copied
-   aside, released, and re-fed [hold] records later: by then the
-   detector's sequence tracking has moved past them, so they surface as
-   an accounted gap + stale pair rather than silently reordering
-   detection state. *)
-type faulty_consumer = {
-  stream : Fault.Plan.Transport.stream;
-  mutable held : (int * Bytes.t * int64 array) list;
-}
-
-let faulty_consumers fault nq =
-  match fault with
-  | None -> [||]
-  | Some p ->
-      Array.init nq (fun qi ->
-          { stream = Fault.Plan.Transport.stream p ~src:qi; held = [] })
-
-let tick_held detector ~src fc =
-  match fc.held with
-  | [] -> ()
-  | held ->
-      let ready = ref [] in
-      fc.held <-
-        List.filter_map
-          (fun (n, b, v) ->
-            if n <= 1 then begin
-              ready := (b, v) :: !ready;
-              None
-            end
-            else Some (n - 1, b, v))
-          held;
-      List.iter
-        (fun (b, v) ->
-          Barracuda.Detector.feed_record_from detector ~src ~values:v b ~pos:0)
-        (List.rev !ready)
-
-let flush_held detector ~src fc =
-  List.iter
-    (fun (_, b, v) ->
-      Barracuda.Detector.feed_record_from detector ~src ~values:v b ~pos:0)
-    fc.held;
-  fc.held <- []
-
-(* Consume one committed record through the fault plan.  The caller
-   releases the slot afterwards. *)
-let feed_with_fault detector ~src fc buf ~pos ~values =
-  (match Fault.Plan.Transport.next fc.stream with
-  | Fault.Plan.Transport.Pass ->
-      Barracuda.Detector.feed_record_from detector ~src ~values buf ~pos
-  | Fault.Plan.Transport.Flip raw ->
-      let bit = raw mod (Record.wire_size * 8) in
-      let byte = pos + (bit / 8) in
-      Bytes.set_uint8 buf byte
-        (Bytes.get_uint8 buf byte lxor (1 lsl (bit land 7)));
-      Barracuda.Detector.feed_record_from detector ~src ~values buf ~pos
-  | Fault.Plan.Transport.Drop -> ()
-  | Fault.Plan.Transport.Duplicate ->
-      Barracuda.Detector.feed_record_from detector ~src ~values buf ~pos;
-      Barracuda.Detector.feed_record_from detector ~src ~values buf ~pos
-  | Fault.Plan.Transport.Delay hold ->
-      fc.held <- fc.held @ [ (hold, Bytes.sub buf pos Record.wire_size, values) ]);
-  tick_held detector ~src fc
-
-(* Producers remap instrumented instruction indices back to original
-   static indices inline while serializing (the old [remap] built a
-   fresh event per record): accesses from logging code (origin -1) or
-   pruned sites are dropped; instrumentation-introduced branches
-   (predication rewrites) map to -1 but are still forwarded since they
-   reshape the SIMT stack. *)
+type stats = { records : int; stalls : int; high_watermark : int }
 
 let no_values : int64 array = [||]
 
-(* Producer-side wait for a full queue when a consumer domain drains
-   concurrently: spin briefly, then sleep with a capped exponential
-   backoff (50us doubling to ~3ms) instead of a fixed-rate poll. *)
-let full_backoff attempt =
-  if attempt < 16 then Domain.cpu_relax ()
-  else begin
-    let e = attempt - 16 in
-    let e = if e > 6 then 6 else e in
-    Unix.sleepf (0.00005 *. (2. ** float_of_int e))
-  end
-
-(* The paper's deployment: host threads drain the queues concurrently
-   with kernel execution.  The producer (the simulated device) runs on
-   the calling domain; one consumer domain per queue feeds the shared
-   detector, reading each record in place from the ring slot
-   ([Detector.feed_record]) and releasing the slot afterwards.
+(* The paper's deployment (§4.3): host threads drain the queues
+   concurrently with kernel execution.  The producer ([Session.drive]
+   on the calling domain) stages each record; [submit] copies it into
+   the ring slot of its block's queue, and one consumer domain per
+   queue feeds the shared detector, reading each record in place from
+   the slot and releasing the slot afterwards.  Each thread block logs
+   to exactly one queue, so each domain owns its blocks' warp clocks
+   without locking; global-memory shadow cells carry their
+   per-location locks.
 
    Side channels (device stamp, store values) are slot-indexed arrays
    alongside the ring, written between [try_reserve] and [commit]:
@@ -217,42 +35,42 @@ let full_backoff attempt =
    that is empty can only ever produce larger stamps).  Stamps are
    totally ordered, so the wait graph is acyclic and the protocol
    cannot deadlock; releases and plain accesses never wait. *)
-let run_parallel ?(config = default_config) ?max_steps ?deadline_ns ?inst
-    ~machine kernel args =
-  let layout = Simt.Machine.layout machine in
-  let inst =
-    match inst with
-    | Some i -> i
-    | None -> Instrument.Pass.instrument ~prune:config.prune
-          ~static:config.static_prune kernel
-  in
+let parallel_sink ?(queues = default_queues)
+    ?(queue_capacity = default_queue_capacity)
+    ?(config = Barracuda.Detector.default_config) ~layout kernel =
+  if queues < 1 then invalid_arg "Pipeline.parallel_sink: queues must be >= 1";
+  let detector = Barracuda.Detector.create ~config ~layout kernel in
   let roles = Gtrace.Roles.classify kernel in
-  let detector =
-    Barracuda.Detector.create ~config:config.detector ~layout kernel
+  let reg = Telemetry.Registry.default in
+  (* Handles are registered before the domains spawn, so registration
+     (which takes a mutex) never races with hot updates. *)
+  let m_records =
+    Telemetry.Registry.counter ~help:"Records shipped through the queues" reg
+      "barracuda_pipeline_records_total"
   in
-  let st = stages () in
-  (* Per-domain drain totals, labeled by queue index, created before
-     the domains spawn so registration never races. *)
+  let m_stalls =
+    Telemetry.Registry.counter ~help:"Producer stalls on full queues" reg
+      "barracuda_pipeline_stalls_total"
+  in
   let m_drained =
-    Array.init config.queues (fun qi ->
-        Telemetry.Registry.counter
-          ~help:"Records drained per consumer domain"
+    Array.init queues (fun qi ->
+        Telemetry.Registry.counter ~help:"Records drained per consumer domain"
           ~labels:[ ("domain", string_of_int qi) ]
-          Telemetry.Registry.default "barracuda_pipeline_domain_drained_total")
+          reg "barracuda_pipeline_domain_drained_total")
   in
   let m_acquire_waits =
     Telemetry.Registry.counter
-      ~help:"Consumer waits for cross-queue acquire ordering"
-      Telemetry.Registry.default "barracuda_pipeline_acquire_waits_total"
+      ~help:"Consumer waits for cross-queue acquire ordering" reg
+      "barracuda_pipeline_acquire_waits_total"
   in
-  let nq = config.queues in
-  let cap = config.queue_capacity in
-  let queues = Array.init nq (fun _ -> Queue.create ~capacity:cap) in
+  let sp_queue = Telemetry.Span.create "queue" in
+  let sp_detect = Telemetry.Span.create "detect" in
+  let nq = queues and cap = queue_capacity in
+  let rings = Array.init nq (fun _ -> Queue.create ~capacity:cap) in
   let stamps = Array.init nq (fun _ -> Array.make cap max_int) in
   let values_ring = Array.init nq (fun _ -> Array.make cap no_values) in
-  let stalls = ref 0 in
-  let records = ref 0 in
-  let stamp_counter = ref 0 in
+  let stage = Bytes.create Wire.size in
+  let stalls = ref 0 and records = ref 0 in
   let producing = Atomic.make true in
   (* A queue's frontier is the stamp of its oldest unreleased record
      (the one its consumer is feeding, or will feed next): everything
@@ -264,7 +82,7 @@ let run_parallel ?(config = default_config) ?max_steps ?deadline_ns ?inst
      the consumer moved under us, return 0 ("unknown, assume behind")
      and let the waiter re-poll. *)
   let frontier_of qi =
-    let q = queues.(qi) in
+    let q = rings.(qi) in
     let r = Queue.read_index q in
     if Queue.pushed q <= r then max_int
     else begin
@@ -281,8 +99,7 @@ let run_parallel ?(config = default_config) ?max_steps ?deadline_ns ?inst
   in
   (* Acquire classification straight off the wire image — no decode. *)
   let is_acquire_at buf pos =
-    let opc = Wire.View.opcode buf ~pos in
-    Wire.is_access opc
+    Wire.is_access (Wire.View.opcode buf ~pos)
     &&
     let insn = Wire.View.insn buf ~pos in
     insn >= 0
@@ -291,376 +108,123 @@ let run_parallel ?(config = default_config) ?max_steps ?deadline_ns ?inst
     | Gtrace.Roles.Acquire _ | Gtrace.Roles.Acquire_release _ -> true
     | Gtrace.Roles.Plain | Gtrace.Roles.Release _ -> false
   in
-  let fcs = faulty_consumers config.fault nq in
-  let consumers =
-    Array.mapi
-      (fun qi q ->
-        Domain.spawn (fun () ->
-            let buf = Queue.buffer q in
-            let detect = ref 0L in
-            let rec loop () =
-              let off = Queue.peek q in
-              if off >= 0 then begin
-                let slot = off / Record.wire_size in
-                let stamp = stamps.(qi).(slot) in
-                let values = values_ring.(qi).(slot) in
-                if is_acquire_at buf off then
-                  while not (others_past qi stamp) do
-                    Telemetry.Metric.counter_incr m_acquire_waits;
-                    Unix.sleepf 0.0002
-                  done;
-                let t0 = Telemetry.Clock.now_ns () in
-                if Array.length fcs = 0 then
-                  Barracuda.Detector.feed_record_from detector ~src:qi ~values
-                    buf ~pos:off
-                else
-                  feed_with_fault detector ~src:qi fcs.(qi) buf ~pos:off ~values;
-                let d = Telemetry.Clock.elapsed_ns ~since:t0 in
-                detect := Int64.add !detect d;
-                if Telemetry.Registry.enabled () then
-                  Telemetry.Span.record_ns st.sp_detect d;
-                Telemetry.Metric.counter_incr m_drained.(qi);
-                Queue.release q;
-                loop ()
-              end
-              else if Atomic.get producing || Queue.length q > 0 then begin
-                Unix.sleepf 0.0002;
-                loop ()
-              end
-              else if Array.length fcs > 0 then
-                flush_held detector ~src:qi fcs.(qi)
-            in
-            loop ();
-            !detect))
-      queues
+  let consume qi q =
+    let buf = Queue.buffer q in
+    let detect = ref 0L in
+    let rec loop () =
+      let off = Queue.peek q in
+      if off >= 0 then begin
+        let slot = off / Wire.size in
+        let stamp = stamps.(qi).(slot) in
+        if is_acquire_at buf off then
+          while not (others_past qi stamp) do
+            Telemetry.Metric.counter_incr m_acquire_waits;
+            Unix.sleepf 0.0002
+          done;
+        let t0 = Telemetry.Clock.now_ns () in
+        Barracuda.Detector.feed_record_from detector ~src:qi
+          ~values:values_ring.(qi).(slot) buf ~pos:off;
+        let d = Telemetry.Clock.elapsed_ns ~since:t0 in
+        detect := Int64.add !detect d;
+        if Telemetry.Registry.enabled () then Telemetry.Span.record_ns sp_detect d;
+        Telemetry.Metric.counter_incr m_drained.(qi);
+        Queue.release q;
+        loop ()
+      end
+      else if Atomic.get producing || Queue.length q > 0 then begin
+        Unix.sleepf 0.0002;
+        loop ()
+      end
+    in
+    loop ();
+    !detect
   in
-  (* Producer side: reserve a slot (waiting out backpressure), write
-     stamp + values + wire bytes, commit.  Serialization happens
-     directly into the ring slot; no [Record.t] or [Bytes.t] per
-     record. *)
+  let consumers =
+    Array.mapi (fun qi q -> Domain.spawn (fun () -> consume qi q)) rings
+  in
+  let detect_ns = ref 0L and joined = ref false in
+  let join () =
+    if not !joined then begin
+      joined := true;
+      Atomic.set producing false;
+      detect_ns :=
+        Array.fold_left
+          (fun acc d ->
+            let t = Domain.join d in
+            if Int64.compare t acc > 0 then t else acc)
+          0L consumers
+    end
+  in
+  (* Producer side: route by block, reserve a slot (waiting out
+     backpressure), copy the staged record in, stamp, seal with the
+     queue's own sequence number, commit. *)
   let reserve qi =
-    let q = queues.(qi) in
+    let q = rings.(qi) in
     let rec go attempt =
       let w = Queue.try_reserve q in
       if w >= 0 then w
       else begin
         incr stalls;
-        Telemetry.Metric.counter_incr st.m_stalls;
-        full_backoff attempt;
+        Telemetry.Metric.counter_incr m_stalls;
+        Queue.full_backoff attempt;
         go (attempt + 1)
       end
     in
     go 0
   in
-  let start qi values =
+  let submit ~values ~sync:_ =
+    let t0 =
+      if Telemetry.Registry.enabled () then Telemetry.Clock.now_ns () else 0L
+    in
+    let block =
+      if Wire.View.opcode stage ~pos:0 = Wire.op_barrier then
+        Wire.View.aux stage ~pos:0
+      else Vclock.Layout.block_of_warp layout (Wire.View.warp stage ~pos:0)
+    in
+    let qi = block mod nq in
+    let q = rings.(qi) in
+    (* the staged record is sealed too, with the global stamp, so a
+       capture of the stage stays a valid stream *)
+    Wire.seal stage ~pos:0 ~seq:!records;
     let w = reserve qi in
     let slot = w mod cap in
-    incr stamp_counter;
-    stamps.(qi).(slot) <- !stamp_counter;
+    incr records;
+    stamps.(qi).(slot) <- !records;
     values_ring.(qi).(slot) <- values;
-    w
-  in
-  let finish qi w t0 =
-    let q = queues.(qi) in
-    (* Seal (sequence number + checksum) between the payload write and
-       the commit that publishes the slot. *)
-    Wire.seal (Queue.buffer q) ~pos:(Queue.offset_of q w) ~seq:w;
+    let pos = Queue.offset_of q w in
+    Bytes.blit stage 0 (Queue.buffer q) pos Wire.size;
+    Wire.seal (Queue.buffer q) ~pos ~seq:w;
     Queue.commit q w;
-    tm_record st.sp_queue t0;
-    incr records;
-    Telemetry.Metric.counter_incr st.m_records
+    if not (Int64.equal t0 0L) then
+      Telemetry.Span.record_ns sp_queue (Telemetry.Clock.elapsed_ns ~since:t0);
+    Telemetry.Metric.counter_incr m_records
   in
-  let qi_of_warp warp =
-    Vclock.Layout.block_of_warp layout warp mod nq
+  let sink =
+    {
+      Session.stage;
+      submit;
+      quiesce =
+        (fun () ->
+          Array.iter
+            (fun q ->
+              while Queue.length q > 0 do
+                Unix.sleepf 0.0002
+              done)
+            rings);
+      sink_report = (fun ~max_reports:_ -> Barracuda.Detector.report detector);
+      finish = join;
+      abort = join;
+      detect_ns = (fun () -> !detect_ns);
+      sink_records = (fun () -> !records);
+    }
   in
-  let origin = inst.Instrument.Pass.origin in
-  let logged = inst.Instrument.Pass.logged in
-  let norigin = Array.length origin in
-  let orig i = if i >= 0 && i < norigin then Array.unsafe_get origin i else -1 in
-  let on_event ev =
-    match ev with
-    | Simt.Event.Access a ->
-        let o = orig a.Simt.Event.insn in
-        if o >= 0 && logged.(o) then begin
-          let qi = qi_of_warp a.Simt.Event.warp in
-          let t0 = tm_now () in
-          let w = start qi a.Simt.Event.values in
-          let q = queues.(qi) in
-          Wire.write_access (Queue.buffer q) ~pos:(Queue.offset_of q w)
-            ~kind:a.Simt.Event.kind ~space:a.Simt.Event.space
-            ~width:a.Simt.Event.width ~mask:a.Simt.Event.mask
-            ~warp:a.Simt.Event.warp ~insn:o ~addrs:a.Simt.Event.addrs;
-          finish qi w t0
-        end
-    | Simt.Event.Branch_if { warp; insn; then_mask; else_mask } ->
-        let o = orig insn in
-        let qi = qi_of_warp warp in
-        let t0 = tm_now () in
-        let w = start qi no_values in
-        let q = queues.(qi) in
-        Wire.write_branch_if (Queue.buffer q) ~pos:(Queue.offset_of q w)
-          ~mask:(then_mask lor else_mask) ~warp ~insn:o ~then_mask ~else_mask;
-        finish qi w t0
-    | Simt.Event.Branch_else { warp; mask } ->
-        let qi = qi_of_warp warp in
-        let t0 = tm_now () in
-        let w = start qi no_values in
-        let q = queues.(qi) in
-        Wire.write_branch_else (Queue.buffer q) ~pos:(Queue.offset_of q w)
-          ~warp ~insn:(-1) ~mask;
-        finish qi w t0
-    | Simt.Event.Branch_fi { warp; mask } ->
-        let qi = qi_of_warp warp in
-        let t0 = tm_now () in
-        let w = start qi no_values in
-        let q = queues.(qi) in
-        Wire.write_branch_fi (Queue.buffer q) ~pos:(Queue.offset_of q w)
-          ~warp ~insn:(-1) ~mask;
-        finish qi w t0
-    | Simt.Event.Barrier { block } ->
-        let qi = block mod nq in
-        let t0 = tm_now () in
-        let w = start qi no_values in
-        let q = queues.(qi) in
-        Wire.write_barrier (Queue.buffer q) ~pos:(Queue.offset_of q w)
-          ~warp:(-1) ~insn:(-1) ~mask:0 ~block;
-        finish qi w t0
-    | Simt.Event.Barrier_divergence { warp; insn; mask; expected } ->
-        (* instruction index deliberately not remapped: divergence is
-           reported against the instrumented kernel's barrier site, as
-           the event-stream [remap] always did *)
-        let qi = qi_of_warp warp in
-        let t0 = tm_now () in
-        let w = start qi no_values in
-        let q = queues.(qi) in
-        Wire.write_barrier_divergence (Queue.buffer q)
-          ~pos:(Queue.offset_of q w) ~warp ~insn ~mask ~expected;
-        finish qi w t0
-    | Simt.Event.Fence _ | Simt.Event.Kernel_done -> ()
+  let stats () =
+    {
+      records = !records;
+      stalls =
+        Array.fold_left (fun acc q -> acc + Queue.stalls q) !stalls rings;
+      high_watermark =
+        Array.fold_left (fun acc q -> max acc (Queue.high_watermark q)) 0 rings;
+    }
   in
-  let machine_result =
-    launch_timed st ?max_steps ?deadline_ns ?fault:config.fault machine
-      inst.Instrument.Pass.kernel args ~on_event
-  in
-  Atomic.set producing false;
-  let detect_ns =
-    Array.fold_left
-      (fun acc d ->
-        let t = Domain.join d in
-        if Int64.compare t acc > 0 then t else acc)
-      0L consumers
-  in
-  let high =
-    Array.fold_left (fun acc q -> max acc (Queue.high_watermark q)) 0 queues
-  in
-  let queue_stalls =
-    Array.fold_left (fun acc q -> acc + Queue.stalls q) 0 queues
-  in
-  {
-    detector;
-    machine_result;
-    instr_stats = inst.Instrument.Pass.stats;
-    queue_stats =
-      {
-        records = !records;
-        bytes = !records * Record.wire_size;
-        stalls = !stalls + queue_stalls;
-        high_watermark = high;
-      };
-    detect_ns;
-  }
-
-let run ?(config = default_config) ?max_steps ?deadline_ns ?tee ?inst ~machine
-    kernel args =
-  let layout = Simt.Machine.layout machine in
-  let inst =
-    match inst with
-    | Some i -> i
-    | None -> Instrument.Pass.instrument ~prune:config.prune
-          ~static:config.static_prune kernel
-  in
-  let detector =
-    Barracuda.Detector.create ~config:config.detector ~layout kernel
-  in
-  let st = stages () in
-  let nq = config.queues in
-  let cap = config.queue_capacity in
-  let queues = Array.init nq (fun _ -> Queue.create ~capacity:cap) in
-  (* Store/atomic value side channel, slot-indexed alongside each ring:
-     the wire format does not carry values; the host re-attaches them
-     (modeling the deployed system's reread of device memory).  Slots
-     for non-access records keep whatever array was there — the
-     detector ignores values for those opcodes. *)
-  let values_ring = Array.init nq (fun _ -> Array.make cap no_values) in
-  let stalls = ref 0 in
-  let records = ref 0 in
-  let detect = ref 0L in
-  let fcs = faulty_consumers config.fault nq in
-  let drain_one qi =
-    let q = queues.(qi) in
-    let off = Queue.peek q in
-    if off < 0 then false
-    else begin
-      let values = values_ring.(qi).(off / Record.wire_size) in
-      let t0 = Telemetry.Clock.now_ns () in
-      if Array.length fcs = 0 then
-        Barracuda.Detector.feed_record_from detector ~src:qi ~values
-          (Queue.buffer q) ~pos:off
-      else
-        feed_with_fault detector ~src:qi fcs.(qi) (Queue.buffer q) ~pos:off
-          ~values;
-      let d = Telemetry.Clock.elapsed_ns ~since:t0 in
-      detect := Int64.add !detect d;
-      if Telemetry.Registry.enabled () then
-        Telemetry.Span.record_ns st.sp_detect d;
-      Queue.release q;
-      true
-    end
-  in
-  let drain_all () =
-    let progress = ref true in
-    while !progress do
-      progress := false;
-      for qi = 0 to nq - 1 do
-        if drain_one qi then progress := true
-      done
-    done
-  in
-  (* Backpressure: if the queue is full the producer waits for the
-     host to drain (we drain synchronously and count the stall). *)
-  let reserve qi =
-    let q = queues.(qi) in
-    let rec go () =
-      let w = Queue.try_reserve q in
-      if w >= 0 then w
-      else begin
-        incr stalls;
-        Telemetry.Metric.counter_incr st.m_stalls;
-        ignore (drain_one qi);
-        go ()
-      end
-    in
-    go ()
-  in
-  let finish qi w t0 =
-    let q = queues.(qi) in
-    Wire.seal (Queue.buffer q) ~pos:(Queue.offset_of q w) ~seq:w;
-    Queue.commit q w;
-    tm_record st.sp_queue t0;
-    incr records;
-    Telemetry.Metric.counter_incr st.m_records
-  in
-  let qi_of_warp warp =
-    Vclock.Layout.block_of_warp layout warp mod nq
-  in
-  let origin = inst.Instrument.Pass.origin in
-  let logged = inst.Instrument.Pass.logged in
-  let norigin = Array.length origin in
-  let orig i = if i >= 0 && i < norigin then Array.unsafe_get origin i else -1 in
-  (* The tee hook observes every remapped event the queues would carry
-     (plus record-less Fences); the remapped event is only materialized
-     when a tee is installed, so the common no-tee path allocates
-     nothing. *)
-  let on_event ev =
-    match ev with
-    | Simt.Event.Access a ->
-        let o = orig a.Simt.Event.insn in
-        if o >= 0 && logged.(o) then begin
-          (match tee with
-          | None -> ()
-          | Some f -> f (Simt.Event.Access { a with Simt.Event.insn = o }));
-          let qi = qi_of_warp a.Simt.Event.warp in
-          let t0 = tm_now () in
-          let w = reserve qi in
-          let q = queues.(qi) in
-          values_ring.(qi).(w mod cap) <- a.Simt.Event.values;
-          Wire.write_access (Queue.buffer q) ~pos:(Queue.offset_of q w)
-            ~kind:a.Simt.Event.kind ~space:a.Simt.Event.space
-            ~width:a.Simt.Event.width ~mask:a.Simt.Event.mask
-            ~warp:a.Simt.Event.warp ~insn:o ~addrs:a.Simt.Event.addrs;
-          finish qi w t0
-        end
-    | Simt.Event.Fence { warp; insn; scope; mask } -> (
-        (* fences produce no record but tee observers still see them *)
-        match tee with
-        | None -> ()
-        | Some f ->
-            let o = orig insn in
-            if o >= 0 then f (Simt.Event.Fence { warp; insn = o; scope; mask }))
-    | Simt.Event.Branch_if { warp; insn; then_mask; else_mask } ->
-        let o = orig insn in
-        (match tee with
-        | None -> ()
-        | Some f ->
-            f (Simt.Event.Branch_if { warp; insn = o; then_mask; else_mask }));
-        let qi = qi_of_warp warp in
-        let t0 = tm_now () in
-        let w = reserve qi in
-        let q = queues.(qi) in
-        Wire.write_branch_if (Queue.buffer q) ~pos:(Queue.offset_of q w)
-          ~mask:(then_mask lor else_mask) ~warp ~insn:o ~then_mask ~else_mask;
-        finish qi w t0
-    | Simt.Event.Branch_else { warp; mask } ->
-        (match tee with None -> () | Some f -> f ev);
-        let qi = qi_of_warp warp in
-        let t0 = tm_now () in
-        let w = reserve qi in
-        let q = queues.(qi) in
-        Wire.write_branch_else (Queue.buffer q) ~pos:(Queue.offset_of q w)
-          ~warp ~insn:(-1) ~mask;
-        finish qi w t0
-    | Simt.Event.Branch_fi { warp; mask } ->
-        (match tee with None -> () | Some f -> f ev);
-        let qi = qi_of_warp warp in
-        let t0 = tm_now () in
-        let w = reserve qi in
-        let q = queues.(qi) in
-        Wire.write_branch_fi (Queue.buffer q) ~pos:(Queue.offset_of q w)
-          ~warp ~insn:(-1) ~mask;
-        finish qi w t0
-    | Simt.Event.Barrier { block } ->
-        (match tee with None -> () | Some f -> f ev);
-        let qi = block mod nq in
-        let t0 = tm_now () in
-        let w = reserve qi in
-        let q = queues.(qi) in
-        Wire.write_barrier (Queue.buffer q) ~pos:(Queue.offset_of q w)
-          ~warp:(-1) ~insn:(-1) ~mask:0 ~block;
-        finish qi w t0
-    | Simt.Event.Barrier_divergence { warp; insn; mask; expected } ->
-        (match tee with None -> () | Some f -> f ev);
-        let qi = qi_of_warp warp in
-        let t0 = tm_now () in
-        let w = reserve qi in
-        let q = queues.(qi) in
-        Wire.write_barrier_divergence (Queue.buffer q)
-          ~pos:(Queue.offset_of q w) ~warp ~insn ~mask ~expected;
-        finish qi w t0
-    | Simt.Event.Kernel_done -> (
-        match tee with None -> () | Some f -> f ev)
-  in
-  let machine_result =
-    launch_timed st ?max_steps ?deadline_ns ?fault:config.fault machine
-      inst.Instrument.Pass.kernel args ~on_event
-  in
-  drain_all ();
-  Array.iteri (fun qi fc -> flush_held detector ~src:qi fc) fcs;
-  let high =
-    Array.fold_left (fun acc q -> max acc (Queue.high_watermark q)) 0 queues
-  in
-  let queue_stalls =
-    Array.fold_left (fun acc q -> acc + Queue.stalls q) 0 queues
-  in
-  {
-    detector;
-    machine_result;
-    instr_stats = inst.Instrument.Pass.stats;
-    queue_stats =
-      {
-        records = !records;
-        bytes = !records * Record.wire_size;
-        stalls = !stalls + queue_stalls;
-        high_watermark = high;
-      };
-    detect_ns = !detect;
-  }
+  (sink, stats)

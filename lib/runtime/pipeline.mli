@@ -1,93 +1,44 @@
-(** End-to-end BARRACUDA pipeline (Figure 5): instrument the kernel, run
-    it on the simulator, ship logged events through GPU→host queues as
-    fixed-size records, and race-check on the host side.
+(** The paper's concurrent host (§4.2–4.3) as a {!Session.sink}: records
+    go through GPU→host log queues ({!Queue}, one per [block mod
+    queues]) and one consumer domain per queue race-checks them
+    {e while the kernel executes} on the calling domain.
 
-    Mirrors the deployed system's structure:
+    Run it with [Session.run_stream ~sink]; the producer is
+    {!Session.drive}, as for every other backend.  Each thread block
+    logs to exactly one queue, so each domain owns its blocks' warp
+    clocks without locking.  Records cross the queues in the 280-byte
+    wire format, sealed per queue and validated in place by the
+    detector.  When a queue fills, the producer stalls until its
+    consumer drains ({!stats} counts those backpressure events).
 
-    - the kernel actually executed is the {e instrumented} one, so the
-      measured run pays the logging-instruction cost;
-    - only instructions that kept their logging call after pruning
-      produce records — what the optimization elides, the detector never
-      sees (that is the optimization's precision trade-off, reproduced
-      faithfully);
-    - each thread block logs to one queue ([block mod queues], §4.2);
-      when a queue fills, the producer stalls and the host drains
-      ({!stats} counts those backpressure events);
-    - records cross the queue in the 280-byte wire format (the paper's
-      272-byte layout plus an integrity prefix), sealed by the producer
-      and validated in place by the detector. *)
+    Cross-queue interleaving is nondeterministic, as in the real
+    system; acquire records wait for every other queue to pass their
+    device stamp, so correctly synchronized code never shows races.
+    Reports between runs may name different witnesses for the same
+    racy location. *)
 
-type config = {
-  queues : int;
-  queue_capacity : int;
-  prune : bool;  (** apply the logging-pruning optimization *)
-  static_prune : bool;  (** drop logging for statically race-free accesses *)
-  detector : Barracuda.Detector.config;
-  fault : Fault.Plan.t option;
-      (** seeded fault injection: transport faults are applied by the
-          consumer between [peek] and [feed_record], machine faults are
-          forwarded to {!Simt.Machine.launch}.  [None] (the default) is
-          the production path. *)
-}
+val default_queues : int
+(** 4. *)
 
-val default_config : config
+val default_queue_capacity : int
+(** 4096 records per queue. *)
 
-type queue_stats = {
+type stats = {
   records : int;  (** records shipped across all queues *)
-  bytes : int;
   stalls : int;  (** producer stalls on full queues *)
   high_watermark : int;  (** deepest backlog across queues *)
 }
 
-type result = {
-  detector : Barracuda.Detector.t;
-  machine_result : Simt.Machine.result;
-  instr_stats : Instrument.Stats.t;
-  queue_stats : queue_stats;
-  detect_ns : int64;
-      (** cumulative time inside the detector's record feed: the sum
-          over records for {!run}, the busiest consumer domain for
-          {!run_parallel}.  Measured unconditionally (telemetry on or
-          off) so callers can report per-job detect latency. *)
-}
-
-val run :
-  ?config:config ->
-  ?max_steps:int ->
-  ?deadline_ns:int64 ->
-  ?tee:(Simt.Event.t -> unit) ->
-  ?inst:Instrument.Pass.result ->
-  machine:Simt.Machine.t ->
+val parallel_sink :
+  ?queues:int ->
+  ?queue_capacity:int ->
+  ?config:Barracuda.Detector.config ->
+  layout:Vclock.Layout.t ->
   Ptx.Ast.kernel ->
-  int64 array ->
-  result
-(** Instrument [kernel], execute the instrumented version on [machine],
-    and race-check the shipped records.  Native-baseline measurements
-    (Figure 10) launch the original kernel on a fresh machine
-    themselves.  [tee] observes every remapped event as it is forwarded
-    into the queues (used by tests to compare the queue transport
-    against a detector fed the identical stream).  [inst] supplies a
-    previously computed instrumentation of {e this} kernel with the
-    configured [prune] setting — the race-checking service's artifact
-    cache uses it to skip the front half of the pipeline on repeat
-    submissions; when present it is trusted, not revalidated. *)
-
-val run_parallel :
-  ?config:config ->
-  ?max_steps:int ->
-  ?deadline_ns:int64 ->
-  ?inst:Instrument.Pass.result ->
-  machine:Simt.Machine.t ->
-  Ptx.Ast.kernel ->
-  int64 array ->
-  result
-(** Like {!run}, but with the paper's host-side concurrency (§4.3):
-    one consumer domain per queue drains and race-checks records
-    {e while the kernel executes} on the calling domain.  Each thread
-    block logs to exactly one queue, so each domain owns its blocks'
-    warp clocks without locking; global-memory shadow cells are
-    protected by their per-location locks.  Cross-queue interleaving is
-    nondeterministic (as in the real system), so reports between runs
-    may name different witnesses for the same racy location. *)
-
-val report : result -> Barracuda.Report.t
+  Session.sink * (unit -> stats)
+(** Spawn the consumer domains and return the sink with a reader for
+    its queue statistics.  [finish] and [abort] join the domains
+    (idempotent); [detect_ns] is the busiest domain's time inside the
+    detector.  With telemetry enabled the producer side is recorded in
+    the ["queue"] span and each consumer feed in ["detect"].
+    @raise Invalid_argument if [queues < 1]. *)

@@ -20,7 +20,7 @@ let m_high =
        ~help:"Deepest backlog observed across all queues"
        Telemetry.Registry.default "barracuda_queue_high_watermark")
 
-(* Same counter the pipeline bumps for its full-queue stalls; the
+(* Same counter the parallel sink bumps for its full-queue stalls; the
    registry deduplicates by name, so both sites feed one total. *)
 let m_stalls =
   lazy
@@ -30,7 +30,7 @@ let m_stalls =
 
 type t = {
   capacity : int;
-  buf : Bytes.t; (* capacity * Record.wire_size, one contiguous ring *)
+  buf : Bytes.t; (* capacity * Wire.size, one contiguous ring *)
   write_head : int Atomic.t; (* next reservable virtual index *)
   commit_index : int Atomic.t; (* records visible to the consumer *)
   read_head : int Atomic.t; (* next record to consume *)
@@ -40,9 +40,13 @@ type t = {
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Queue.create: capacity <= 0";
+  (* forced here, on the creating domain: producer and consumer domains
+     update them concurrently, and racing forces of one lazy raise *)
+  List.iter (fun m -> ignore (Lazy.force m)) [ m_pushes; m_pops; m_stalls ];
+  ignore (Lazy.force m_high);
   {
     capacity;
-    buf = Bytes.make (capacity * Record.wire_size) '\000';
+    buf = Bytes.make (capacity * Barracuda.Wire.size) '\000';
     write_head = Atomic.make 0;
     commit_index = Atomic.make 0;
     read_head = Atomic.make 0;
@@ -52,7 +56,7 @@ let create ~capacity =
 
 let capacity t = t.capacity
 let buffer t = t.buf
-let offset_of t w = w mod t.capacity * Record.wire_size
+let offset_of t w = w mod t.capacity * Barracuda.Wire.size
 
 let rec bump_high t backlog =
   let cur = Atomic.get t.high in
@@ -83,6 +87,17 @@ let stall_backoff t attempt =
     let e = attempt - spin_budget in
     let d = backoff_floor *. (2. ** float_of_int (if e > 10 then 10 else e)) in
     Unix.sleepf (if d > backoff_ceiling then backoff_ceiling else d)
+  end
+
+(* The wait for a full ring while its consumer domain drains
+   concurrently: spin briefly, then sleep with a capped exponential
+   backoff (50us doubling to ~3ms) instead of a fixed-rate poll. *)
+let full_backoff attempt =
+  if attempt < 16 then Domain.cpu_relax ()
+  else begin
+    let e = attempt - 16 in
+    let e = if e > 6 then 6 else e in
+    Unix.sleepf (0.00005 *. (2. ** float_of_int e))
   end
 
 let commit t w =

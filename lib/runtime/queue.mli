@@ -8,7 +8,7 @@
     entries ahead of the read head.
 
     Storage is one preallocated flat buffer of
-    [capacity * Record.wire_size] bytes; producers serialize directly
+    [capacity * Barracuda.Wire.size] bytes; producers serialize directly
     into their reserved slot and the consumer decodes directly out of
     it, so steady-state transport allocates no per-record [Bytes.t] on
     either side.
@@ -53,6 +53,12 @@ val try_reserve : t -> int
 (** Reserve the next slot for writing: the virtual index to pass to
     {!commit} ([offset_of] gives its byte position), or [-1] when the
     queue is full — the real system stalls the warp. *)
+
+val full_backoff : int -> unit
+(** [full_backoff attempt]: one wait step of a producer whose
+    {!try_reserve} found the ring full while a consumer domain drains
+    it — spin for the first attempts, then sleep with a capped
+    exponential backoff.  The caller counts its own stalls. *)
 
 val commit : t -> int -> unit
 (** Publish a reserved slot to the consumer.  Blocks (bounded

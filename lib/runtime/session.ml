@@ -1,94 +1,6 @@
-type rollup = {
-  r_kernel : string;
-  r_ns : int64;
-  r_records : int;
-  r_races : int;
-}
-
-type t = {
-  config : Pipeline.config;
-  layout : Vclock.Layout.t;
-  mutable machine : Simt.Machine.t;
-  mutable launches : int;
-  mutable resets : int;
-  mutable reports : (string * Barracuda.Report.t) list; (* newest first *)
-  mutable rollups : rollup list; (* newest first *)
-}
-
-let m_launches =
-  lazy
-    (Telemetry.Registry.counter ~help:"Session kernel launches"
-       Telemetry.Registry.default "barracuda_session_launches_total")
-
-let m_races =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Distinct races reported across session launches"
-       Telemetry.Registry.default "barracuda_session_races_total")
-
-let m_records =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Records shipped across session launches"
-       Telemetry.Registry.default "barracuda_session_records_total")
-
-let create ?(config = Pipeline.default_config) ~layout () =
-  {
-    config;
-    layout;
-    machine = Simt.Machine.create ~layout ();
-    launches = 0;
-    resets = 0;
-    reports = [];
-    rollups = [];
-  }
-
-let machine t = t.machine
-
-let launch ?max_steps t kernel args =
-  (* The per-launch rollup always carries a monotonic duration (cheap:
-     two clock reads per launch); the "launch" span additionally feeds
-     the registry when telemetry is enabled. *)
-  let t0 = Telemetry.Clock.now_ns () in
-  let sp = Telemetry.Span.create "launch" in
-  let result = Pipeline.run ~config:t.config ?max_steps ~machine:t.machine kernel args in
-  let ns = Telemetry.Clock.elapsed_ns ~since:t0 in
-  Telemetry.Span.record_ns sp ns;
-  let report = Pipeline.report result in
-  let races = Barracuda.Report.race_count report in
-  let records = result.Pipeline.queue_stats.Pipeline.records in
-  Telemetry.Metric.counter_incr (Lazy.force m_launches);
-  Telemetry.Metric.counter_add (Lazy.force m_races) races;
-  Telemetry.Metric.counter_add (Lazy.force m_records) records;
-  t.launches <- t.launches + 1;
-  t.reports <- (kernel.Ptx.Ast.kname, report) :: t.reports;
-  t.rollups <-
-    { r_kernel = kernel.Ptx.Ast.kname; r_ns = ns; r_records = records;
-      r_races = races }
-    :: t.rollups;
-  result
-
-let device_reset t =
-  (* queues are drained at the end of every launch (the "delay the
-     reset until the queues are fully drained" behaviour); the reset
-     frees the device state, and the next launch reinitializes *)
-  t.machine <- Simt.Machine.create ~layout:t.layout ();
-  t.resets <- t.resets + 1
-
-let launches t = t.launches
-let resets t = t.resets
-let reports t = List.rev t.reports
-let rollups t = List.rev t.rollups
-
-let total_races t =
-  List.fold_left
-    (fun acc (_, r) -> acc + Barracuda.Report.race_count r)
-    0 t.reports
-
-(* ================================================================== *)
-(* Streaming-session core                                              *)
-
 module Wire = Barracuda.Wire
+
+(* ---- record sinks ------------------------------------------------- *)
 
 type sink = {
   stage : Bytes.t;
@@ -101,25 +13,115 @@ type sink = {
   sink_records : unit -> int;
 }
 
-let serial_sink ?(config = Barracuda.Detector.default_config) ~layout kernel =
+(* Transport-fault injection between the producer's seal and the
+   detector's feed — exactly where a real DMA/interconnect fault would
+   land.  Delayed records are copied aside and re-fed [hold] records
+   later: by then the detector's sequence tracking has moved past
+   them, so they surface as an accounted gap + stale pair rather than
+   silently reordering detection state.  Flips land on a copy, so the
+   staging record (and any capture of it) stays as produced. *)
+type faulty = {
+  stream : Fault.Plan.Transport.stream;
+  scratch : Bytes.t;
+  mutable held : (int * Bytes.t * int64 array) list;
+}
+
+let tick_held fc feed =
+  match fc.held with
+  | [] -> ()
+  | held ->
+      let ready = ref [] in
+      fc.held <-
+        List.filter_map
+          (fun (n, b, v) ->
+            if n <= 1 then begin
+              ready := (b, v) :: !ready;
+              None
+            end
+            else Some (n - 1, b, v))
+          held;
+      List.iter (fun (b, v) -> feed ~values:v b) (List.rev !ready)
+
+let flush_held fc feed =
+  List.iter (fun (_, b, v) -> feed ~values:v b) fc.held;
+  fc.held <- []
+
+let feed_with_fault fc feed ~values stage =
+  (match Fault.Plan.Transport.next fc.stream with
+  | Fault.Plan.Transport.Pass -> feed ~values stage
+  | Fault.Plan.Transport.Flip raw ->
+      let bit = raw mod (Wire.size * 8) in
+      Bytes.blit stage 0 fc.scratch 0 Wire.size;
+      let byte = bit / 8 in
+      Bytes.set_uint8 fc.scratch byte
+        (Bytes.get_uint8 fc.scratch byte lxor (1 lsl (bit land 7)));
+      feed ~values fc.scratch
+  | Fault.Plan.Transport.Drop -> ()
+  | Fault.Plan.Transport.Duplicate ->
+      feed ~values stage;
+      feed ~values stage
+  | Fault.Plan.Transport.Delay hold ->
+      fc.held <- fc.held @ [ (hold, Bytes.sub stage 0 Wire.size, values) ]);
+  tick_held fc feed
+
+let serial_sink ?(config = Barracuda.Detector.default_config) ?fault ~layout
+    kernel =
   let det = Barracuda.Detector.create ~config ~layout kernel in
   let stage = Bytes.create Wire.size in
   let seq = ref 0 in
   let detect = ref 0L in
   let records = ref 0 in
-  {
-    stage;
-    submit =
-      (fun ~values ~sync:_ ->
+  (* The production path: seal and feed in place, nothing else.  Fault
+     plans and telemetry get their own closure, chosen once here, so
+     the plain path carries no per-record branch for either. *)
+  let plain ~values ~sync:_ =
+    Wire.seal stage ~pos:0 ~seq:!seq;
+    incr seq;
+    let t0 = Telemetry.Clock.now_ns () in
+    Barracuda.Detector.feed_record_from det ~src:0 ~values stage ~pos:0;
+    detect := Int64.add !detect (Telemetry.Clock.elapsed_ns ~since:t0);
+    incr records
+  in
+  let sp_detect =
+    if Telemetry.Registry.enabled () then Some (Telemetry.Span.create "detect")
+    else None
+  in
+  let feed ~values buf =
+    let t0 = Telemetry.Clock.now_ns () in
+    Barracuda.Detector.feed_record_from det ~src:0 ~values buf ~pos:0;
+    let d = Telemetry.Clock.elapsed_ns ~since:t0 in
+    detect := Int64.add !detect d;
+    match sp_detect with Some sp -> Telemetry.Span.record_ns sp d | None -> ()
+  in
+  let faulty =
+    Option.map
+      (fun p ->
+        {
+          stream = Fault.Plan.Transport.stream p ~src:0;
+          scratch = Bytes.create Wire.size;
+          held = [];
+        })
+      fault
+  in
+  let submit =
+    if Option.is_none faulty && Option.is_none sp_detect then plain
+    else
+      let deliver =
+        match faulty with Some fc -> feed_with_fault fc feed | None -> feed
+      in
+      fun ~values ~sync:_ ->
         Wire.seal stage ~pos:0 ~seq:!seq;
         incr seq;
-        let t0 = Telemetry.Clock.now_ns () in
-        Barracuda.Detector.feed_record_from det ~src:0 ~values stage ~pos:0;
-        detect := Int64.add !detect (Telemetry.Clock.elapsed_ns ~since:t0);
-        incr records);
+        deliver ~values stage;
+        incr records
+  in
+  {
+    stage;
+    submit;
     quiesce = (fun () -> ());
     sink_report = (fun ~max_reports:_ -> Barracuda.Detector.report det);
-    finish = (fun () -> ());
+    finish =
+      (fun () -> match faulty with Some fc -> flush_held fc feed | None -> ());
     abort = (fun () -> ());
     detect_ns = (fun () -> !detect);
     sink_records = (fun () -> !records);
@@ -129,8 +131,8 @@ let serial_sink ?(config = Barracuda.Detector.default_config) ~layout kernel =
 
 let no_values : int64 array = [||]
 
-let drive ?max_steps ?deadline_ns ?fault ?inst ?capture ~machine sink kernel
-    args =
+let drive ?max_steps ?deadline_ns ?fault ?inst ?capture ?tee ~machine sink
+    kernel args =
   let roles = Gtrace.Roles.classify kernel in
   let orig, keep, run_kernel =
     match inst with
@@ -164,37 +166,73 @@ let drive ?max_steps ?deadline_ns ?fault ?inst ?capture ~machine sink kernel
     | Some b -> Stream.append_cell b buf ~pos:0 ~values
     | None -> ()
   in
+  (* Accesses from logging code (origin -1) or pruned sites are
+     dropped; instrumentation-introduced branches map to -1 but are
+     still forwarded since they reshape the SIMT stack. *)
   let on_event ev =
     match ev with
     | Simt.Event.Access a ->
         let o = orig a.Simt.Event.insn in
         if keep o then begin
-          Wire.write_access buf ~pos:0 ~kind:a.Simt.Event.kind
-            ~space:a.Simt.Event.space ~width:a.Simt.Event.width
-            ~mask:a.Simt.Event.mask ~warp:a.Simt.Event.warp ~insn:o
-            ~addrs:a.Simt.Event.addrs;
+          ignore (Wire.write_event buf ~pos:0 ~insn:o ev);
           emit ~values:a.Simt.Event.values ~sync:(is_sync_access o)
         end
-    | Simt.Event.Branch_if { warp; insn; then_mask; else_mask } ->
-        let o = orig insn in
-        Wire.write_branch_if buf ~pos:0 ~mask:(then_mask lor else_mask) ~warp
-          ~insn:o ~then_mask ~else_mask;
+    | Simt.Event.Branch_if { insn; _ } ->
+        ignore (Wire.write_event buf ~pos:0 ~insn:(orig insn) ev);
         emit ~values:no_values ~sync:false
-    | Simt.Event.Branch_else { warp; mask } ->
-        Wire.write_branch_else buf ~pos:0 ~warp ~insn:(-1) ~mask;
-        emit ~values:no_values ~sync:false
-    | Simt.Event.Branch_fi { warp; mask } ->
-        Wire.write_branch_fi buf ~pos:0 ~warp ~insn:(-1) ~mask;
-        emit ~values:no_values ~sync:false
-    | Simt.Event.Barrier { block } ->
-        Wire.write_barrier buf ~pos:0 ~warp:(-1) ~insn:(-1) ~mask:0 ~block;
+    | Simt.Event.Barrier _ ->
+        ignore (Wire.write_event buf ~pos:0 ~insn:(-1) ev);
         emit ~values:no_values ~sync:true
-    | Simt.Event.Barrier_divergence { warp; insn; mask; expected } ->
-        Wire.write_barrier_divergence buf ~pos:0 ~warp ~insn ~mask ~expected;
-        emit ~values:no_values ~sync:false
-    | Simt.Event.Fence _ | Simt.Event.Kernel_done -> ()
+    | _ ->
+        if Wire.write_event buf ~pos:0 ~insn:(-1) ev then
+          emit ~values:no_values ~sync:false
   in
-  try Simt.Machine.launch ?max_steps ?deadline_ns ?fault machine run_kernel args ~on_event
+  (* The tee observes every event the sink receives, remapped to
+     original instruction indices, plus the record-less fences and
+     kernel completion.  The remapped event is only built when a tee
+     is installed, so the production path allocates nothing. *)
+  let on_event =
+    match tee with
+    | None -> on_event
+    | Some f ->
+        fun ev ->
+          (match ev with
+          | Simt.Event.Access a ->
+              let o = orig a.Simt.Event.insn in
+              if keep o then
+                f
+                  (if o = a.Simt.Event.insn then ev
+                   else Simt.Event.Access { a with Simt.Event.insn = o })
+          | Simt.Event.Fence { warp; insn; scope; mask } ->
+              let o = orig insn in
+              if o >= 0 then f (Simt.Event.Fence { warp; insn = o; scope; mask })
+          | Simt.Event.Branch_if { warp; insn; then_mask; else_mask } ->
+              f (Simt.Event.Branch_if { warp; insn = orig insn; then_mask; else_mask })
+          | ev -> f ev);
+          on_event ev
+  in
+  let launch on_event =
+    Simt.Machine.launch ?max_steps ?deadline_ns ?fault machine run_kernel args
+      ~on_event
+  in
+  try
+    if not (Telemetry.Registry.enabled ()) then launch on_event
+    else begin
+      (* The execute span is the machine's own time: launch time minus
+         the callback, which belongs to serialization and the sink. *)
+      let cb_ns = ref 0L in
+      let timed ev =
+        let t0 = Telemetry.Clock.now_ns () in
+        on_event ev;
+        cb_ns := Int64.add !cb_ns (Telemetry.Clock.elapsed_ns ~since:t0)
+      in
+      let t0 = Telemetry.Clock.now_ns () in
+      let result = launch timed in
+      Telemetry.Span.record_ns
+        (Telemetry.Span.create "execute")
+        (Int64.sub (Telemetry.Clock.elapsed_ns ~since:t0) !cb_ns);
+      result
+    end
   with e ->
     sink.abort ();
     raise e
@@ -206,11 +244,19 @@ type stream_result = {
   sr_detect_ns : int64;
 }
 
-let run_stream ?(detector = Barracuda.Detector.default_config) ?max_steps
-    ?deadline_ns ?fault ?inst ?capture ~machine kernel args =
-  let layout = Simt.Machine.layout machine in
-  let sink = serial_sink ~config:detector ~layout kernel in
-  let mr = drive ?max_steps ?deadline_ns ?fault ?inst ?capture ~machine sink kernel args in
+let run_stream ?sink ?(detector = Barracuda.Detector.default_config) ?max_steps
+    ?deadline_ns ?fault ?inst ?capture ?tee ~machine kernel args =
+  let sink =
+    match sink with
+    | Some s -> s
+    | None ->
+        serial_sink ~config:detector ?fault
+          ~layout:(Simt.Machine.layout machine) kernel
+  in
+  let mr =
+    drive ?max_steps ?deadline_ns ?fault ?inst ?capture ?tee ~machine sink
+      kernel args
+  in
   sink.finish ();
   {
     sr_report =
@@ -219,6 +265,99 @@ let run_stream ?(detector = Barracuda.Detector.default_config) ?max_steps
     sr_records = sink.sink_records ();
     sr_detect_ns = sink.detect_ns ();
   }
+
+(* ---- multi-launch sessions --------------------------------------- *)
+
+type rollup = {
+  r_kernel : string;
+  r_ns : int64;
+  r_records : int;
+  r_races : int;
+}
+
+type t = {
+  detector : Barracuda.Detector.config;
+  layout : Vclock.Layout.t;
+  mutable machine : Simt.Machine.t;
+  mutable launches : int;
+  mutable resets : int;
+  mutable reports : (string * Barracuda.Report.t) list; (* newest first *)
+  mutable rollups : rollup list; (* newest first *)
+}
+
+let m_launches =
+  lazy
+    (Telemetry.Registry.counter ~help:"Session kernel launches"
+       Telemetry.Registry.default "barracuda_session_launches_total")
+
+let m_races =
+  lazy
+    (Telemetry.Registry.counter
+       ~help:"Distinct races reported across session launches"
+       Telemetry.Registry.default "barracuda_session_races_total")
+
+let m_records =
+  lazy
+    (Telemetry.Registry.counter
+       ~help:"Records shipped across session launches"
+       Telemetry.Registry.default "barracuda_session_records_total")
+
+let create ?(detector = Barracuda.Detector.default_config) ~layout () =
+  {
+    detector;
+    layout;
+    machine = Simt.Machine.create ~layout ();
+    launches = 0;
+    resets = 0;
+    reports = [];
+    rollups = [];
+  }
+
+let machine t = t.machine
+
+let launch ?max_steps t kernel args =
+  (* The per-launch rollup always carries a monotonic duration (cheap:
+     two clock reads per launch); the "launch" span additionally feeds
+     the registry when telemetry is enabled. *)
+  let t0 = Telemetry.Clock.now_ns () in
+  let sp = Telemetry.Span.create "launch" in
+  let result =
+    run_stream ~detector:t.detector ?max_steps
+      ~inst:(Instrument.Pass.instrument ~prune:true ~static:true kernel)
+      ~machine:t.machine kernel args
+  in
+  let ns = Telemetry.Clock.elapsed_ns ~since:t0 in
+  Telemetry.Span.record_ns sp ns;
+  let report = result.sr_report in
+  let races = Barracuda.Report.race_count report in
+  let records = result.sr_records in
+  Telemetry.Metric.counter_incr (Lazy.force m_launches);
+  Telemetry.Metric.counter_add (Lazy.force m_races) races;
+  Telemetry.Metric.counter_add (Lazy.force m_records) records;
+  t.launches <- t.launches + 1;
+  t.reports <- (kernel.Ptx.Ast.kname, report) :: t.reports;
+  t.rollups <-
+    { r_kernel = kernel.Ptx.Ast.kname; r_ns = ns; r_records = records;
+      r_races = races }
+    :: t.rollups;
+  result
+
+let device_reset t =
+  (* every launch finishes its sink before returning (the "delay the
+     reset until the queues are fully drained" behaviour); the reset
+     frees the device state, and the next launch reinitializes *)
+  t.machine <- Simt.Machine.create ~layout:t.layout ();
+  t.resets <- t.resets + 1
+
+let launches t = t.launches
+let resets t = t.resets
+let reports t = List.rev t.reports
+let rollups t = List.rev t.rollups
+
+let total_races t =
+  List.fold_left
+    (fun acc (_, r) -> acc + Barracuda.Report.race_count r)
+    0 t.reports
 
 (* ---- streaming sessions ------------------------------------------ *)
 

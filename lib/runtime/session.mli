@@ -22,55 +22,15 @@
     streaming session whose producer is the simulator, so any chunking
     of a recorded stream reproduces the batch race set bitwise. *)
 
-type rollup = {
-  r_kernel : string;  (** kernel name *)
-  r_ns : int64;  (** monotonic launch duration *)
-  r_records : int;  (** records shipped through the queues *)
-  r_races : int;  (** distinct races reported *)
-}
-(** Per-launch telemetry rollup.  Durations use the monotonic clock
-    and are collected unconditionally; when telemetry is enabled each
-    launch additionally records a ["launch"] span and session counters
-    in {!Telemetry.Registry.default}. *)
-
-type t
-
-val create :
-  ?config:Pipeline.config -> layout:Vclock.Layout.t -> unit -> t
-
-val machine : t -> Simt.Machine.t
-(** The device: persistent across launches until a reset. *)
-
-val launch : ?max_steps:int -> t -> Ptx.Ast.kernel -> int64 array -> Pipeline.result
-(** Instrument, execute and race-check one kernel. *)
-
-val device_reset : t -> unit
-(** Drain-and-reset: all queue records of prior launches are consumed
-    (they already are — [launch] drains before returning, mirroring the
-    delayed reset), device global memory is cleared, and the next
-    launch runs against a reinitialized device. *)
-
-val launches : t -> int
-(** Launches since creation (not cleared by resets). *)
-
-val resets : t -> int
-
-val reports : t -> (string * Barracuda.Report.t) list
-(** Per-launch reports, oldest first: (kernel name, report). *)
-
-val rollups : t -> rollup list
-(** Per-launch telemetry rollups, oldest first. *)
-
-val total_races : t -> int
-
 (** {1 Record sinks}
 
     A sink is one incremental consumer of sealed wire records — the
     seam between the streaming-session core and a detection backend.
     The serial backend ({!serial_sink}) feeds a single
-    {!Barracuda.Detector} in place; the sharded backend
-    ([Shard.Stream.sink]) broadcasts into the shard engine's SPSC
-    rings.  Producers serialize a record directly into {!sink.stage}
+    {!Barracuda.Detector} in place; the concurrent host
+    ([Pipeline.parallel_sink]) hands records to one consumer domain per
+    queue; the sharded backend ([Shard.Stream.sink]) broadcasts into
+    the shard engine's SPSC rings.  Producers serialize a record directly into {!sink.stage}
     (at offset 0) and call {!sink.submit}, which seals it with the
     sink's own monotonic sequence number and ingests it — the same
     zero-copy discipline as the batch pipeline's ring slots. *)
@@ -99,19 +59,24 @@ type sink = {
 
 val serial_sink :
   ?config:Barracuda.Detector.config ->
+  ?fault:Fault.Plan.t ->
   layout:Vclock.Layout.t ->
   Ptx.Ast.kernel ->
   sink
 (** The single-detector backend: [submit] seals and feeds the staged
     record synchronously via [Detector.feed_record_from]; [quiesce] is
-    a no-op (nothing is in flight). *)
+    a no-op (nothing is in flight).  [fault] injects the plan's
+    transport faults (flip, drop, duplicate, delay) between the seal
+    and the feed, as one fault stream; [finish] feeds records still
+    held by a delay.  When telemetry is enabled at creation, each feed
+    is also recorded in the ["detect"] span. *)
 
 (** {1 Batch execution as a session}
 
-    {!drive} is the producer half the batch paths share: execute a
-    kernel on the simulator and forward every logged event into a sink
-    as a sealed wire record.  [Shard.Pipeline.run_sharded] and the
-    serial checkers are thin drivers over it. *)
+    {!drive} is the only producer: it executes a kernel on the
+    simulator and serializes every logged event ({!Barracuda.Wire.write_event})
+    into a sink as a wire record.  {!run_stream} is the only batch
+    driver over it; every deployment choice is a {!sink}. *)
 
 val drive :
   ?max_steps:int ->
@@ -119,6 +84,7 @@ val drive :
   ?fault:Fault.Plan.t ->
   ?inst:Instrument.Pass.result ->
   ?capture:Buffer.t ->
+  ?tee:(Simt.Event.t -> unit) ->
   machine:Simt.Machine.t ->
   sink ->
   Ptx.Ast.kernel ->
@@ -127,11 +93,16 @@ val drive :
 (** Execute [kernel] (the instrumented version when [inst] is given,
     with origin remapping and logging-pruning applied; the original
     kernel with every event logged otherwise) and submit each record
-    to [sink].  [capture] appends every submitted record as a sealed
-    {!Stream} cell, values included — the recorder behind
-    [check --record] and the chunk-invariance tests.  On an exception
-    the sink is aborted before the exception is re-raised; callers
-    still own [finish]. *)
+    to [sink].  [fault]'s machine faults go to {!Simt.Machine.launch}.
+    [capture] appends every submitted record as a sealed {!Stream}
+    cell, values included — the recorder behind [check --record] and
+    the chunk-invariance tests.  [tee] observes every event the sink
+    receives, remapped to original instruction indices, plus fences
+    and [Kernel_done] — the hook behind [check --dump-trace].  With
+    telemetry enabled the machine's own time (launch minus callbacks)
+    is recorded in the ["execute"] span.  On an exception the sink is
+    aborted before the exception is re-raised; callers still own
+    [finish]. *)
 
 type stream_result = {
   sr_report : Barracuda.Report.t;
@@ -141,19 +112,70 @@ type stream_result = {
 }
 
 val run_stream :
+  ?sink:sink ->
   ?detector:Barracuda.Detector.config ->
   ?max_steps:int ->
   ?deadline_ns:int64 ->
   ?fault:Fault.Plan.t ->
   ?inst:Instrument.Pass.result ->
   ?capture:Buffer.t ->
+  ?tee:(Simt.Event.t -> unit) ->
   machine:Simt.Machine.t ->
   Ptx.Ast.kernel ->
   int64 array ->
   stream_result
-(** One-shot serial check through the session core: {!serial_sink} +
-    {!drive} + finish.  This is what [barracuda check] and the
-    service's serial jobs run. *)
+(** One-shot check: {!drive} into [sink], then finish.  [sink]
+    defaults to {!serial_sink} built from [detector] and [fault]; a
+    caller-built sink gets only the machine faults of [fault] (build
+    the sink with its own fault options).  [detector.max_reports]
+    bounds the report either way.  This is what every [barracuda
+    check] flag, the service's check jobs, repair validation and the
+    fault campaigns run. *)
+
+(** {1 Multi-launch sessions} *)
+
+type rollup = {
+  r_kernel : string;  (** kernel name *)
+  r_ns : int64;  (** monotonic launch duration *)
+  r_records : int;  (** records shipped through the queues *)
+  r_races : int;  (** distinct races reported *)
+}
+(** Per-launch telemetry rollup.  Durations use the monotonic clock
+    and are collected unconditionally; when telemetry is enabled each
+    launch additionally records a ["launch"] span and session counters
+    in {!Telemetry.Registry.default}. *)
+
+type t
+
+val create :
+  ?detector:Barracuda.Detector.config -> layout:Vclock.Layout.t -> unit -> t
+
+val machine : t -> Simt.Machine.t
+(** The device: persistent across launches until a reset. *)
+
+val launch :
+  ?max_steps:int -> t -> Ptx.Ast.kernel -> int64 array -> stream_result
+(** Instrument (pruning on), execute and race-check one kernel through
+    {!run_stream}. *)
+
+val device_reset : t -> unit
+(** Drain-and-reset: all records of prior launches are consumed (they
+    already are — [launch] finishes its sink before returning,
+    mirroring the delayed reset), device global memory is cleared, and the next
+    launch runs against a reinitialized device. *)
+
+val launches : t -> int
+(** Launches since creation (not cleared by resets). *)
+
+val resets : t -> int
+
+val reports : t -> (string * Barracuda.Report.t) list
+(** Per-launch reports, oldest first: (kernel name, report). *)
+
+val rollups : t -> rollup list
+(** Per-launch telemetry rollups, oldest first. *)
+
+val total_races : t -> int
 
 (** {1 Streaming sessions}
 

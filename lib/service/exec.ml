@@ -165,41 +165,26 @@ let run_check ~config ~cache ~job (s : Protocol.submit) =
         (Int64.add (Telemetry.Clock.now_ns ())
            (Int64.mul (Int64.of_int config.deadline_ms) 1_000_000L))
   in
-  (* [job_shards = 1] is the serial pipeline; above that, the job's
-     detection fans out over shard domains ([Shard.Pipeline]) with
-     bitwise-identical verdicts. *)
-  let status, report, detect_ns =
-    if config.job_shards <= 1 then begin
-      (* The serial path runs through the streaming-session core (the
-         cached instrument pass already encodes prune/static choices),
-         so a daemon check job and a [Stream_open] session share one
-         producer and one backend. *)
-      let result =
-        Gpu_runtime.Session.run_stream ~max_steps:config.max_steps
-          ?deadline_ns ~inst:entry.Cache.inst ~machine entry.Cache.kernel args
-      in
-      ( result.Gpu_runtime.Session.sr_machine_result.Simt.Machine.status,
-        result.Gpu_runtime.Session.sr_report,
-        result.Gpu_runtime.Session.sr_detect_ns )
-    end
-    else begin
-      let pconfig =
-        {
-          Shard.Pipeline.default_config with
-          shards = config.job_shards;
-          prune = s.Protocol.prune;
-          static_prune = s.Protocol.static;
-        }
-      in
-      let result =
-        Shard.Pipeline.run_sharded ~config:pconfig ~max_steps:config.max_steps
-          ?deadline_ns ~inst:entry.Cache.inst ~machine entry.Cache.kernel args
-      in
-      ( result.Shard.Pipeline.machine_result.Simt.Machine.status,
-        result.Shard.Pipeline.report,
-        result.Shard.Pipeline.detect_ns )
-    end
+  (* One driver for every job: the streaming-session core with the
+     cached instrument pass (which already encodes the prune/static
+     choices), so a daemon check job and a [Stream_open] session share
+     one producer.  [job_shards > 1] only swaps the sink for the
+     sharded one, with bitwise-identical verdicts. *)
+  let sink =
+    if config.job_shards <= 1 then None
+    else
+      Some
+        (Shard.Stream.sink ~shards:config.job_shards ~layout
+           entry.Cache.kernel)
   in
+  let result =
+    Gpu_runtime.Session.run_stream ?sink ~max_steps:config.max_steps
+      ?deadline_ns ~inst:entry.Cache.inst ~machine entry.Cache.kernel args
+  in
+  let status =
+    result.Gpu_runtime.Session.sr_machine_result.Simt.Machine.status
+  and report = result.Gpu_runtime.Session.sr_report
+  and detect_ns = result.Gpu_runtime.Session.sr_detect_ns in
   match status with
   | Simt.Machine.Max_steps n ->
       Protocol.Failed

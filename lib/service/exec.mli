@@ -24,10 +24,10 @@ type config = {
           budget never trips) but too slowly to be worth waiting for,
           and the bound on how long a hung worker can hold its seat *)
   job_shards : int;
-      (** detector domains per [Check] job: [1] (the default) runs the
-          serial {!Gpu_runtime.Pipeline}; above that, detection fans
-          out across shard domains ({!Shard.Pipeline.run_sharded})
-          with bitwise-identical verdicts.  A shard domain dying
+      (** detector domains per [Check] job: [1] (the default) runs
+          {!Gpu_runtime.Session.run_stream} with the serial sink; above
+          that, the same driver fans detection out across shard domains
+          ({!Shard.Stream.sink}) with bitwise-identical verdicts.  A shard domain dying
           mid-job fails the job with code ["shard_crashed"] — never a
           partial merge *)
 }

@@ -5,17 +5,6 @@ exception Shard_crashed of int
 
 let no_values : int64 array = [||]
 
-(* Producer-side wait for a full ring while its consumer drains
-   concurrently: spin briefly, then sleep with a capped exponential
-   backoff — the same policy as [Gpu_runtime.Pipeline]. *)
-let full_backoff attempt =
-  if attempt < 16 then Domain.cpu_relax ()
-  else begin
-    let e = attempt - 16 in
-    let e = if e > 6 then 6 else e in
-    Unix.sleepf (0.00005 *. (2. ** float_of_int e))
-  end
-
 type t = {
   layout : Vclock.Layout.t;
   detectors : Barracuda.Detector.t array;
@@ -26,7 +15,6 @@ type t = {
   mutable seq : int;
   mutable last_sync_seq : int;
   mutable records : int;
-  mutable stalls : int;
   producing : bool Atomic.t;
   failed : bool Atomic.t array;
   mutable consumers : int64 Domain.t array;
@@ -40,7 +28,7 @@ type t = {
 (* One shard's consumer: drain the ring into the shard detector until
    the producer is done and the ring is empty.  The ring is SPSC and
    the stream totally ordered by construction, so — unlike
-   [Pipeline.run_parallel]'s consumers — no cross-queue acquire
+   [Pipeline.parallel_sink]'s consumers — no cross-queue acquire
    handshake is needed: every shard sees every synchronization record
    at the same position in its stream.  Returns cumulative nanoseconds
    spent inside the detector. *)
@@ -113,7 +101,6 @@ let create ?router ?(ring_capacity = 4096) ?fault
       seq = 0;
       last_sync_seq = 0;
       records = 0;
-      stalls = 0;
       producing = Atomic.make true;
       failed = Array.init shards (fun _ -> Atomic.make false);
       consumers = [||];
@@ -158,8 +145,7 @@ let reserve t i =
     let w = Queue.try_reserve q in
     if w >= 0 then w
     else begin
-      t.stalls <- t.stalls + 1;
-      full_backoff attempt;
+      Queue.full_backoff attempt;
       go (attempt + 1)
     end
   in
@@ -246,7 +232,3 @@ let report t ~max_reports =
 
 let detect_ns t = t.detect
 let records t = t.records
-let stalls t = t.stalls
-
-let high_watermark t =
-  Array.fold_left (fun acc q -> max acc (Queue.high_watermark q)) 0 t.rings

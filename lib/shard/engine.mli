@@ -46,7 +46,7 @@ val create :
     to [Router.make ~shards ()]; its shard count must match.
     [ring_capacity] defaults to 4096 records per shard.  [fault] is
     consulted for shard-crash injection only (transport faults live in
-    [Gpu_runtime.Pipeline]).  @raise Invalid_argument on [shards < 1]
+    [Gpu_runtime.Session.serial_sink]).  @raise Invalid_argument on [shards < 1]
     or a router/shard-count mismatch. *)
 
 val shards : t -> int
@@ -98,9 +98,3 @@ val detect_ns : t -> int64
 val records : t -> int
 (** Records broadcast (stream length, not multiplied by the shard
     count). *)
-
-val stalls : t -> int
-(** Producer stalls on full shard rings. *)
-
-val high_watermark : t -> int
-(** Deepest any shard ring got. *)

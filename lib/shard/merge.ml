@@ -1,37 +1,5 @@
 module Report = Barracuda.Report
 
-let kind_code : Report.access_kind -> int = function
-  | Report.Read -> 0
-  | Report.Write -> 1
-  | Report.Atomic_rmw -> 2
-
-let compare_race (a : Report.race) (b : Report.race) =
-  let c = Gtrace.Loc.compare a.Report.loc b.Report.loc in
-  if c <> 0 then c
-  else
-    let c = compare a.Report.prev_tid b.Report.prev_tid in
-    if c <> 0 then c
-    else
-      let c = compare (kind_code a.Report.prev_kind) (kind_code b.Report.prev_kind) in
-      if c <> 0 then c
-      else
-        let c = compare a.Report.cur_tid b.Report.cur_tid in
-        if c <> 0 then c
-        else
-          let c =
-            compare (kind_code a.Report.cur_kind) (kind_code b.Report.cur_kind)
-          in
-          if c <> 0 then c
-          else
-            let c =
-              compare a.Report.same_instruction b.Report.same_instruction
-            in
-            if c <> 0 then c
-            else
-              let c = compare a.Report.prev_insn b.Report.prev_insn in
-              if c <> 0 then c
-              else compare a.Report.cur_insn b.Report.cur_insn
-
 let merged ~layout ~max_reports reports =
   let out = Report.create ~max_reports ~layout () in
   let races = ref [] and bardivs = ref [] in
@@ -51,10 +19,16 @@ let merged ~layout ~max_reports reports =
         ~prev_tid:race.Report.prev_tid ~prev_kind:race.Report.prev_kind
         ~cur_tid:race.Report.cur_tid ~cur_kind:race.Report.cur_kind
         ~same_instruction:race.Report.same_instruction)
-    (List.sort compare_race !races);
+    (List.sort Report.compare_race !races);
   List.iter
     (fun (warp, insn) -> Report.add_barrier_divergence out ~warp ~insn)
     (List.sort_uniq compare !bardivs);
+  (* Shards own disjoint locations, so the distinct-race total is the
+     sum of theirs, including races a capped shard never listed. *)
+  let total =
+    Array.fold_left (fun acc r -> acc + Report.race_count r) 0 reports
+  in
+  Report.note_unlisted_races out (total - Report.race_count out);
   (* Integrity counts are replicated, not partitioned: every shard
      consumes (and validates) the full broadcast stream, so the same
      producer-side anomaly is noted once per shard.  Per-field max

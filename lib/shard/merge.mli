@@ -11,6 +11,8 @@
       byte-stable regardless of consumer-domain interleaving;
     - unions barrier-divergence reports with deduplication (all shards
       saw the same ones);
+    - counts distinct races as the sum over shards, so races a capped
+      shard detected but never listed still count;
     - takes the per-category {e maximum} of integrity counts: an
       anomaly on the shared producer side is observed once per shard,
       so summing would multiply it by the shard count. *)

@@ -1,5 +1,3 @@
-module Wire = Barracuda.Wire
-
 type config = {
   shards : int;
   ring_capacity : int;
@@ -23,49 +21,38 @@ type result = {
   report : Barracuda.Report.t;
   detectors : Barracuda.Detector.t array;
   machine_result : Simt.Machine.result;
-  instr_stats : Instrument.Stats.t;
-  queue_stats : Gpu_runtime.Pipeline.queue_stats;
+  records : int;
   detect_ns : int64;
 }
 
-(* A thin driver over the streaming-session core: build the sharded
-   sink and let [Session.drive] run the producer half (instrumented
-   execution, origin remap, logging filter, sync classification).  The
-   sink's abort-on-exception covers a [Shard_crashed] raised from
-   [broadcast], so the consumer domains are always joined before the
-   original exception propagates. *)
+(* [Session.run_stream] over the sharded sink.  The engine is built
+   here rather than through [Stream.sink] only to keep the per-shard
+   detectors for stats; [drive]'s abort-on-exception covers a
+   [Shard_crashed] raised from [broadcast], so the consumer domains are
+   always joined before the exception propagates. *)
 let run_sharded ?(config = default_config) ?max_steps ?deadline_ns ?inst
     ~machine kernel args =
-  let layout = Simt.Machine.layout machine in
   let inst =
     match inst with
     | Some i -> i
-    | None -> Instrument.Pass.instrument ~prune:config.prune
+    | None ->
+        Instrument.Pass.instrument ~prune:config.prune
           ~static:config.static_prune kernel
   in
   let engine =
     Engine.create ~ring_capacity:config.ring_capacity ?fault:config.fault
-      ~config:config.detector ~layout ~shards:config.shards kernel
+      ~config:config.detector ~layout:(Simt.Machine.layout machine)
+      ~shards:config.shards kernel
   in
-  let machine_result =
-    Gpu_runtime.Session.drive ?max_steps ?deadline_ns ?fault:config.fault
-      ~inst ~machine (Stream.sink_of_engine engine) kernel args
+  let r =
+    Gpu_runtime.Session.run_stream ~sink:(Stream.sink_of_engine engine)
+      ~detector:config.detector ?max_steps ?deadline_ns ?fault:config.fault
+      ~inst ~machine kernel args
   in
-  Engine.finish engine;
-  let records = Engine.records engine in
   {
-    report =
-      Engine.report engine
-        ~max_reports:config.detector.Barracuda.Detector.max_reports;
+    report = r.Gpu_runtime.Session.sr_report;
     detectors = Engine.detectors engine;
-    machine_result;
-    instr_stats = inst.Instrument.Pass.stats;
-    queue_stats =
-      {
-        Gpu_runtime.Pipeline.records;
-        bytes = records * Wire.size;
-        stalls = Engine.stalls engine;
-        high_watermark = Engine.high_watermark engine;
-      };
-    detect_ns = Engine.detect_ns engine;
+    machine_result = r.Gpu_runtime.Session.sr_machine_result;
+    records = r.Gpu_runtime.Session.sr_records;
+    detect_ns = r.Gpu_runtime.Session.sr_detect_ns;
   }

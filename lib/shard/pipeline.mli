@@ -1,18 +1,16 @@
-(** Sharded end-to-end detection: simulate a kernel and race-check its
-    event stream across [shards] detector domains ({!Engine}).
-
-    The producer side mirrors [Gpu_runtime.Pipeline] — the same
-    instrumentation pass, origin remapping, and wire serialization —
-    but commits each record to every shard's ring instead of hashing
-    it onto one queue.  Verdicts are bitwise-identical to the serial
-    pipeline on every trace, at every shard count; the test suite
-    enforces this over the whole bug suite. *)
+(** Sharded end-to-end detection: [Gpu_runtime.Session.run_stream]
+    with the sharded sink ({!Stream.sink_of_engine}), which broadcasts
+    each record to every shard's ring ({!Engine}).  The producer is the
+    session core's, so instrumentation, origin remapping and wire
+    serialization are the serial check's.  Verdicts are
+    bitwise-identical to the serial sink on every trace, at every shard
+    count; the test suite enforces this over the whole bug suite. *)
 
 type config = {
   shards : int;
   ring_capacity : int;  (** records per shard ring *)
-  prune : bool;  (** instrumentation pruning, as in [Gpu_runtime.Pipeline] *)
-  static_prune : bool;  (** static-analysis pruning, as in [Gpu_runtime.Pipeline] *)
+  prune : bool;  (** instrumentation pruning when no [inst] is given *)
+  static_prune : bool;  (** static-analysis pruning when no [inst] is given *)
   detector : Barracuda.Detector.config;
   fault : Fault.Plan.t option;
       (** machine faults + shard-crash injection; transport faults are
@@ -27,9 +25,7 @@ type result = {
   report : Barracuda.Report.t;  (** merged, deterministic (see {!Merge}) *)
   detectors : Barracuda.Detector.t array;  (** per-shard, for stats *)
   machine_result : Simt.Machine.result;
-  instr_stats : Instrument.Stats.t;
-  queue_stats : Gpu_runtime.Pipeline.queue_stats;
-      (** [records] counts the broadcast stream once, not per shard *)
+  records : int;  (** the broadcast stream, counted once, not per shard *)
   detect_ns : int64;  (** busiest shard's time inside the detector *)
 }
 

@@ -1,8 +1,8 @@
 (** Monotonic-clock span timing.
 
-    A span names a region of the pipeline — the five stages are
-    ["instrument"], ["execute"], ["queue"], ["decode"] and ["detect"],
-    and sessions add a per-launch ["launch"] span — and accumulates,
+    A span names a region of the pipeline — the stages are
+    ["instrument"], ["execute"], ["queue"] (the parallel sink's
+    producer side) and ["detect"], and sessions add a per-launch ["launch"] span — and accumulates,
     per name, three metrics in the target registry:
 
     - [barracuda_span_calls_total{span=NAME}]: completed executions;

@@ -32,10 +32,16 @@ let run_detector ?max_steps w =
   let args = w.setup m in
   Barracuda.Detector.run ?max_steps ~machine:m w.kernel args
 
-let run_pipeline ?config ?max_steps ?inst w =
+let run_pipeline ?sink ?detector ?max_steps ?inst w =
   let m = machine w in
   let args = w.setup m in
-  Gpu_runtime.Pipeline.run ?config ?max_steps ?inst ~machine:m w.kernel args
+  let inst =
+    match inst with
+    | Some i -> i
+    | None -> Instrument.Pass.instrument ~prune:true ~static:true w.kernel
+  in
+  Gpu_runtime.Session.run_stream ?sink ?detector ?max_steps ~inst ~machine:m
+    w.kernel args
 
 module Loc_set = Set.Make (struct
   type t = Gtrace.Loc.t

@@ -41,15 +41,18 @@ val run_detector : ?max_steps:int -> t -> Barracuda.Detector.t * Simt.Machine.re
 (** Launch with the detector attached directly to the event stream. *)
 
 val run_pipeline :
-  ?config:Gpu_runtime.Pipeline.config ->
+  ?sink:Gpu_runtime.Session.sink ->
+  ?detector:Barracuda.Detector.config ->
   ?max_steps:int ->
   ?inst:Instrument.Pass.result ->
   t ->
-  Gpu_runtime.Pipeline.result
-(** Full instrumented pipeline (what Figure 10 times).  [inst] reuses
-    a precomputed instrumentation result — callers that run the same
-    workload repeatedly (the bench harness) hoist the pass out of the
-    timed region. *)
+  Gpu_runtime.Session.stream_result
+(** The instrumented check (what Figure 10 times), through
+    [Session.run_stream] like [barracuda check].  [inst] defaults to the
+    pass with both pruning tiers on; callers that run the same workload
+    repeatedly (the bench harness) hoist it out of the timed region.
+    [sink] defaults to the serial sink; a caller-built sink must be
+    built on this workload's layout and kernel. *)
 
 val racy_word_counts : Barracuda.Report.t -> int * int
 (** Distinct racy (shared, global) locations at 4-byte granularity. *)

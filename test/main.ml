@@ -26,4 +26,5 @@ let () =
       ("static", Test_static.suite);
       ("repair", Test_repair.suite);
       ("fleet", Test_fleet.suite);
+      ("flags", Test_flags.suite);
     ]

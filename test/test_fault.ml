@@ -3,11 +3,10 @@
    crash recovery and quarantine in the scheduler, wall-clock
    deadlines, versioned formats, and campaign determinism. *)
 
-module Record = Gpu_runtime.Record
 module Wire = Barracuda.Wire
 module Report = Barracuda.Report
 module Detector = Barracuda.Detector
-module Pipeline = Gpu_runtime.Pipeline
+module Session = Gpu_runtime.Session
 module Plan = Fault.Plan
 module P = Service.Protocol
 module Case = Bugsuite.Case
@@ -16,7 +15,7 @@ let ws = Gen.layout.Vclock.Layout.warp_size
 
 let sealed_access ?(mask = (1 lsl ws) - 1) ?(warp = 0) ?(insn = 0) ?(seq = 0)
     () =
-  let buf = Bytes.make Record.wire_size '\000' in
+  let buf = Bytes.make Wire.size '\000' in
   let addrs = Array.init ws (fun i -> 4 * i) in
   Wire.write_access buf ~pos:0 ~kind:Simt.Event.Store ~space:Ptx.Ast.Global
     ~width:4 ~mask ~warp ~insn ~addrs;
@@ -139,7 +138,7 @@ let test_orphaned_fi_absorbed () =
   (* a branch_fi whose branch_if was lost upstream must be skipped and
      accounted, not pop the root reconvergence frame or raise *)
   let det = mk_detector () in
-  let buf = Bytes.make Record.wire_size '\000' in
+  let buf = Bytes.make Wire.size '\000' in
   Wire.write_branch_fi buf ~pos:0 ~warp:0 ~insn:0 ~mask:((1 lsl ws) - 1);
   Wire.seal buf ~pos:0 ~seq:0;
   Detector.feed_record_from det ~src:0 ~values:[||] buf ~pos:0;
@@ -162,7 +161,7 @@ let test_integrity_check_disabled () =
   Alcotest.(check bool) "no degradation tracking" false
     (Report.degraded (Detector.report det))
 
-(* ---- transport faults through the pipeline ----------------------- *)
+(* ---- transport faults through the driver ------------------------- *)
 
 let racy_prog = [ Gen.Global_store (0, Gen.Lane_dependent); Gen.Global_load 0 ]
 
@@ -170,16 +169,13 @@ let run_with_plan ?(prog = racy_prog) plan =
   let k = Gen.kernel_of_program prog in
   let m = Simt.Machine.create ~layout:Gen.layout () in
   let args = Gen.setup m in
-  let config =
-    {
-      Pipeline.default_config with
-      queues = 1;
-      fault = Some plan;
-      detector = { Detector.default_config with max_reports = 100_000 };
-    }
+  let r =
+    Session.run_stream ~fault:plan
+      ~detector:{ Detector.default_config with max_reports = 100_000 }
+      ~inst:(Instrument.Pass.instrument ~prune:true ~static:true k)
+      ~machine:m k args
   in
-  let r = Pipeline.run ~config ~machine:m k args in
-  Detector.report r.Pipeline.detector
+  r.Session.sr_report
 
 let test_drop_plan_degrades () =
   let plan = Plan.make { Plan.none with Plan.seed = 7; drop = 0.3 } in
@@ -408,15 +404,18 @@ let test_trace_version_rejected () =
         (contains message "version 9")
 
 let test_record_version_rejected () =
+  (* no decoder exists to accept a future format: the detector's
+     integrity check refuses the record and accounts for it *)
   let buf = sealed_access () in
   Bytes.set_uint8 buf 1 (Wire.version + 1);
-  match Record.of_bytes ~warp_size:ws buf with
-  | _ -> Alcotest.fail "stale record version accepted"
-  | exception Invalid_argument msg ->
-      Alcotest.(check bool)
-        (Printf.sprintf "names the version: %s" msg)
-        true
-        (contains msg "version")
+  Alcotest.(check bool) "check names the version" true
+    (Wire.check buf ~pos:0 = Wire.Bad_version);
+  let det = mk_detector () in
+  Detector.feed_record det ~values:[||] buf ~pos:0;
+  let report = Detector.report det in
+  Alcotest.(check int) "refused as corrupt" 1
+    (Report.integrity report).Report.corrupt;
+  Alcotest.(check bool) "degraded" true (Report.degraded report)
 
 (* ---- campaign ----------------------------------------------------- *)
 

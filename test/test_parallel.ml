@@ -1,105 +1,79 @@
 (* The concurrent host (§4.3): one consumer domain per queue draining
-   while the kernel runs.  Verdicts must match the sequential pipeline
-   on every workload (witness pairs may differ: cross-queue ordering is
+   while the kernel runs.  Verdicts must match the serial sink on every
+   workload (witness pairs may differ: cross-queue ordering is
    nondeterministic, as in the deployed system). *)
 
 module W = Workloads.Workload
 module Pipeline = Gpu_runtime.Pipeline
+module Session = Gpu_runtime.Session
 
-let parallel_config queues =
-  {
-    Pipeline.default_config with
-    queues;
-    detector = { Barracuda.Detector.default_config with max_reports = 100000 };
-  }
+let detector = { Barracuda.Detector.default_config with max_reports = 100000 }
 
-let run_parallel ?(queues = 2) (w : W.t) =
-  let m = W.machine w in
-  let args = w.W.setup m in
-  Pipeline.run_parallel ~config:(parallel_config queues) ~machine:m w.W.kernel
-    args
+let run_serial (w : W.t) = W.run_pipeline ~detector w
+
+let run_parallel ?(queues = 2) ?queue_capacity (w : W.t) =
+  let sink, stats =
+    Pipeline.parallel_sink ~queues ?queue_capacity ~config:detector
+      ~layout:w.W.layout w.W.kernel
+  in
+  let r = W.run_pipeline ~sink ~detector w in
+  (r, stats ())
 
 let check_verdict (w : W.t) () =
-  let r = run_parallel w in
+  let r, _ = run_parallel w in
   Alcotest.(check bool) "completes" true
-    (r.Pipeline.machine_result.Simt.Machine.status = Simt.Machine.Completed);
-  let report = Pipeline.report r in
+    (r.Session.sr_machine_result.Simt.Machine.status = Simt.Machine.Completed);
   let expected_racy = w.W.expected <> W.Race_free in
   Alcotest.(check bool) "verdict matches expectation" expected_racy
-    (Barracuda.Report.has_race report)
+    (Barracuda.Report.has_race r.Session.sr_report)
 
 let test_no_records_lost () =
   let w = Workloads.Registry.find "backprop" in
-  let seq =
-    let m = W.machine w in
-    let args = w.W.setup m in
-    Pipeline.run ~config:(parallel_config 2) ~machine:m w.W.kernel args
-  in
-  let par = run_parallel w in
+  let seq = run_serial w in
+  let par, stats = run_parallel w in
   Alcotest.(check int) "same record count as sequential"
-    seq.Pipeline.queue_stats.Pipeline.records
-    par.Pipeline.queue_stats.Pipeline.records
+    seq.Session.sr_records par.Session.sr_records;
+  Alcotest.(check int) "queue stats count every record" par.Session.sr_records
+    stats.Pipeline.records
 
 let test_single_queue_parallel () =
   (* with one queue, the one consumer sees the total order: exact
-     agreement with the sequential pipeline *)
+     agreement with the serial sink *)
   let w = Workloads.Registry.find "pathfinder" in
-  let seq =
-    let m = W.machine w in
-    let args = w.W.setup m in
-    Pipeline.run ~config:(parallel_config 1) ~machine:m w.W.kernel args
+  let seq = run_serial w in
+  let par, _ = run_parallel ~queues:1 w in
+  let count (r : Session.stream_result) =
+    Barracuda.Report.race_count r.Session.sr_report
   in
-  let par = run_parallel ~queues:1 w in
-  let count r = Barracuda.Report.race_count (Pipeline.report r) in
   Alcotest.(check int) "identical race counts" (count seq) (count par)
 
 let test_many_queues () =
   let w = Workloads.Registry.find "dxtc" in
-  let r = run_parallel ~queues:4 w in
-  let s, g = W.racy_word_counts (Pipeline.report r) in
+  let r, _ = run_parallel ~queues:4 w in
+  let s, g = W.racy_word_counts r.Session.sr_report in
   Alcotest.(check bool) "dxtc shared races found in parallel" true (s >= 90);
   Alcotest.(check int) "no global races" 0 g
 
 let test_backpressure () =
   (* a queue far smaller than the record stream: the producer must hit
      the full queue (stalls > 0), and the push that filled it pins the
-     high watermark at exactly the capacity — in both pipelines, with
-     no records dropped *)
+     high watermark at exactly the capacity, with no records dropped *)
   let w = Workloads.Registry.find "backprop" in
   let capacity = 4 in
-  let config = { (parallel_config 2) with Pipeline.queue_capacity = capacity } in
-  let run_seq () =
-    let m = W.machine w in
-    let args = w.W.setup m in
-    Pipeline.run ~config ~machine:m w.W.kernel args
-  in
-  let run_par () =
-    let m = W.machine w in
-    let args = w.W.setup m in
-    Pipeline.run_parallel ~config ~machine:m w.W.kernel args
-  in
-  let seq = run_seq () in
-  let par = run_par () in
-  List.iter
-    (fun (which, (r : Pipeline.result)) ->
-      Alcotest.(check bool)
-        (which ^ ": producer stalled on the tiny queue")
-        true
-        (r.Pipeline.queue_stats.Pipeline.stalls > 0);
-      Alcotest.(check int)
-        (which ^ ": high watermark is the capacity")
-        capacity r.Pipeline.queue_stats.Pipeline.high_watermark)
-    [ ("sequential", seq); ("parallel", par) ];
+  let seq = run_serial w in
+  let par, stats = run_parallel ~queue_capacity:capacity w in
+  Alcotest.(check bool) "parallel: producer stalled on the tiny queue" true
+    (stats.Pipeline.stalls > 0);
+  Alcotest.(check int) "parallel: high watermark is the capacity" capacity
+    stats.Pipeline.high_watermark;
   Alcotest.(check int) "no records lost under backpressure"
-    seq.Pipeline.queue_stats.Pipeline.records
-    par.Pipeline.queue_stats.Pipeline.records
+    seq.Session.sr_records par.Session.sr_records
 
 (* ---- full-bugsuite parity across all consumption paths ----------- *)
 
-(* After the in-place transport refactor, every way of consuming the
-   record stream must still agree with the reference semantics: the
-   sequential pipeline and the parallel pipeline on each case's own
-   setup, and the service daemon against a one-shot run of the same
+(* Every way of consuming the record stream must agree with the
+   reference semantics: the serial sink and the parallel sink on each
+   case's own setup, and the service daemon against a one-shot run of the same
    submission (the service resolves its own textual arg specs, so its
    baseline is a sequential run with identical resolved args). *)
 
@@ -119,33 +93,28 @@ let reference_racy (c : Bugsuite.Case.t) =
 let pipeline_racy ~parallel (c : Bugsuite.Case.t) =
   let m = Simt.Machine.create ~layout:c.Bugsuite.Case.layout () in
   let args = c.Bugsuite.Case.setup m in
-  let config =
-    {
-      Pipeline.default_config with
-      (* the sequential drain has no cross-queue ordering (only the
-         parallel consumers run the stamp protocol), so sequential
-         parity uses the single totally-ordered queue while the
-         parallel run exercises cross-queue acquires *)
-      queues = (if parallel then 2 else 1);
-      (* ship the full stream: pruning's precision trade-off is measured
-         elsewhere, parity is about the transport *)
-      prune = false;
-      detector = { Barracuda.Detector.default_config with max_reports = 100000 };
-    }
-  in
-  let r =
+  let kernel = c.Bugsuite.Case.kernel in
+  (* ship the full stream: pruning's precision trade-off is measured
+     elsewhere, parity is about the transport; the parallel run
+     exercises cross-queue acquires over two queues *)
+  let inst = Instrument.Pass.instrument ~prune:false ~static:true kernel in
+  let sink =
     if parallel then
-      Pipeline.run_parallel ~config ~machine:m c.Bugsuite.Case.kernel args
-    else Pipeline.run ~config ~machine:m c.Bugsuite.Case.kernel args
+      Some
+        (fst
+           (Pipeline.parallel_sink ~queues:2 ~config:detector
+              ~layout:c.Bugsuite.Case.layout kernel))
+    else None
   in
-  Barracuda.Report.has_race (Pipeline.report r)
+  let r = Session.run_stream ?sink ~detector ~inst ~machine:m kernel args in
+  Barracuda.Report.has_race r.Session.sr_report
 
 let test_bugsuite_parity_all_paths () =
   List.iter
     (fun (c : Bugsuite.Case.t) ->
       let expected = reference_racy c in
       Alcotest.(check bool)
-        (c.Bugsuite.Case.name ^ ": sequential pipeline matches reference")
+        (c.Bugsuite.Case.name ^ ": serial sink matches reference")
         expected
         (pipeline_racy ~parallel:false c);
       Alcotest.(check bool)

@@ -56,7 +56,14 @@ let test_clean_noop () =
   Alcotest.(check string)
     "verdict" "already-clean"
     (Engine.verdict_name r.Engine.verdict);
-  Alcotest.(check int) "no candidates tried" 0 r.Engine.candidates_tried
+  Alcotest.(check int) "no candidates tried" 0 r.Engine.candidates_tried;
+  (* a release chain across blocks: clean only if the records reach
+     the detector in device order *)
+  let c = case_named "transitive_release_chain" in
+  let r = repair_case c in
+  Alcotest.(check string)
+    "transitive_release_chain verdict" "already-clean"
+    (Engine.verdict_name r.Engine.verdict)
 
 (* ---- fixed point: repair(repair k) = no-op ----------------------- *)
 
@@ -101,14 +108,12 @@ let test_repaired_clean_sharded_and_faulty () =
     in
     let machine = Simt.Machine.create ~layout:c.Bugsuite.Case.layout () in
     let args = c.Bugsuite.Case.setup machine in
-    let pconfig =
-      { Gpu_runtime.Pipeline.default_config with fault = Some plan }
-    in
     let result =
-      Gpu_runtime.Pipeline.run ~config:pconfig ~max_steps:200_000 ~machine
-        f.Engine.kernel args
+      Gpu_runtime.Session.run_stream ~fault:plan ~max_steps:200_000
+        ~inst:(Instrument.Pass.instrument ~prune:true ~static:true f.Engine.kernel)
+        ~machine f.Engine.kernel args
     in
-    let report = Gpu_runtime.Pipeline.report result in
+    let report = result.Gpu_runtime.Session.sr_report in
     if Report.has_race report && not (Report.degraded report) then
       Alcotest.failf "fault seed %d: undegraded race on the repaired kernel"
         (1000 + i)
@@ -182,12 +187,15 @@ let test_scoreboard () =
           let machine = Simt.Machine.create ~layout:c.Bugsuite.Case.layout () in
           let args = c.Bugsuite.Case.setup machine in
           let result =
-            Gpu_runtime.Pipeline.run ~max_steps:200_000 ~machine
-              f.Engine.kernel args
+            Gpu_runtime.Session.run_stream ~max_steps:200_000
+              ~inst:
+                (Instrument.Pass.instrument ~prune:true ~static:true
+                   f.Engine.kernel)
+              ~machine f.Engine.kernel args
           in
-          let report = Gpu_runtime.Pipeline.report result in
+          let report = result.Gpu_runtime.Session.sr_report in
           if
-            result.Gpu_runtime.Pipeline.machine_result
+            result.Gpu_runtime.Session.sr_machine_result
               .Simt.Machine.barrier_divergence
             || List.exists
                  (function

@@ -1,98 +1,140 @@
-(* Runtime layer: record wire format, lock-free queues (including under
-   domains), and the end-to-end pipeline vs direct detection. *)
+(* Runtime layer: the record wire format, lock-free queues (including
+   under domains), and the end-to-end driver vs direct detection. *)
 
-module Record = Gpu_runtime.Record
+module Wire = Barracuda.Wire
 module Queue = Gpu_runtime.Queue
 module Pipeline = Gpu_runtime.Pipeline
+module Session = Gpu_runtime.Session
 module Report = Barracuda.Report
 
 let ws = 32
 
 (* ---- Records -------------------------------------------------------- *)
 
-let sample_records =
+let access_kinds =
+  Simt.Event.Load :: Simt.Event.Store
+  :: List.map
+       (fun op -> Simt.Event.Atomic op)
+       Ptx.Ast.[ A_add; A_exch; A_cas; A_min; A_max; A_and; A_or; A_xor; A_inc; A_dec ]
+
+(* Test-only decoder: the record at [pos] back into the simulator event
+   it was written from (producers only ever write records). *)
+let decode ?(values = [||]) buf ~pos =
+  let module V = Wire.View in
+  let opc = V.opcode buf ~pos in
+  let warp = V.warp buf ~pos and insn = V.insn buf ~pos in
+  let mask = V.mask buf ~pos in
+  if Wire.is_access opc then
+    Simt.Event.Access
+      {
+        warp;
+        insn;
+        kind = List.find (fun k -> Wire.opcode_of_kind k = opc) access_kinds;
+        space = Wire.space_of_code (V.aux buf ~pos);
+        mask;
+        addrs = Array.init ws (fun lane -> V.addr buf ~pos ~lane);
+        values;
+        width = V.width buf ~pos;
+      }
+  else if opc = Wire.op_branch_if then
+    Simt.Event.Branch_if
+      {
+        warp;
+        insn;
+        then_mask = V.then_mask buf ~pos;
+        else_mask = V.else_mask buf ~pos;
+      }
+  else if opc = Wire.op_branch_else then Simt.Event.Branch_else { warp; mask }
+  else if opc = Wire.op_branch_fi then Simt.Event.Branch_fi { warp; mask }
+  else if opc = Wire.op_barrier then Simt.Event.Barrier { block = V.aux buf ~pos }
+  else if opc = Wire.op_barrier_divergence then
+    Simt.Event.Barrier_divergence { warp; insn; mask; expected = V.aux buf ~pos }
+  else invalid_arg (Printf.sprintf "decode: bad opcode %d" opc)
+
+(* The static index a producer stamps: the event's own (no remapping). *)
+let insn_of = function
+  | Simt.Event.Access a -> a.Simt.Event.insn
+  | Simt.Event.Branch_if { insn; _ } -> insn
+  | _ -> -1
+
+let values_of = function
+  | Simt.Event.Access a -> a.Simt.Event.values
+  | _ -> [||]
+
+let write ev =
+  let buf = Bytes.make Wire.size '\000' in
+  if not (Wire.write_event buf ~pos:0 ~insn:(insn_of ev) ev) then
+    Alcotest.fail "event should produce a record";
+  buf
+
+let sample_events =
   [
-    Record.of_event ~warp_size:ws
-      (Simt.Event.Access
-         {
-           warp = 3;
-           insn = 17;
-           kind = Simt.Event.Store;
-           space = Ptx.Ast.Shared;
-           mask = 0xDEAD;
-           addrs = Array.init ws (fun i -> i * 8);
-           values = Array.init ws (fun i -> Int64.of_int i);
-           width = 4;
-         });
-    Record.of_event ~warp_size:ws
-      (Simt.Event.Access
-         {
-           warp = 1;
-           insn = 2;
-           kind = Simt.Event.Atomic Ptx.Ast.A_cas;
-           space = Ptx.Ast.Global;
-           mask = 0x1;
-           addrs = Array.make ws 0;
-           values = Array.make ws 0L;
-           width = 8;
-         });
-    Record.of_event ~warp_size:ws
-      (Simt.Event.Branch_if { warp = 0; insn = 5; then_mask = 0xF0; else_mask = 0xF });
-    Record.of_event ~warp_size:ws (Simt.Event.Branch_else { warp = 2; mask = 0x3 });
-    Record.of_event ~warp_size:ws (Simt.Event.Branch_fi { warp = 2; mask = 0xFF });
-    Record.of_event ~warp_size:ws (Simt.Event.Barrier { block = 7 });
-    Record.of_event ~warp_size:ws
-      (Simt.Event.Barrier_divergence { warp = 4; insn = 9; mask = 0x1; expected = 0xF });
+    Simt.Event.Access
+      {
+        warp = 3;
+        insn = 17;
+        kind = Simt.Event.Store;
+        space = Ptx.Ast.Shared;
+        mask = 0xDEAD;
+        addrs = Array.init ws (fun i -> i * 8);
+        values = Array.init ws (fun i -> Int64.of_int i);
+        width = 4;
+      };
+    Simt.Event.Access
+      {
+        warp = 1;
+        insn = 2;
+        kind = Simt.Event.Atomic Ptx.Ast.A_cas;
+        space = Ptx.Ast.Global;
+        mask = 0x1;
+        addrs = Array.make ws 0;
+        values = Array.make ws 0L;
+        width = 8;
+      };
+    Simt.Event.Branch_if { warp = 0; insn = 5; then_mask = 0xF0; else_mask = 0xF };
+    Simt.Event.Branch_else { warp = 2; mask = 0x3 };
+    Simt.Event.Branch_fi { warp = 2; mask = 0xFF };
+    Simt.Event.Barrier { block = 7 };
+    Simt.Event.Barrier_divergence { warp = 4; insn = 9; mask = 0x1; expected = 0xF };
   ]
 
 let test_record_wire_size () =
   (* the paper's 272-byte layout plus the 8-byte integrity prefix *)
-  Alcotest.(check int) "wire size" 280 Record.wire_size;
+  Alcotest.(check int) "wire size" 280 Wire.size;
   List.iter
-    (fun r ->
-      match r with
-      | Some r ->
-          Alcotest.(check int) "serialized size" 280
-            (Bytes.length (Record.to_bytes r))
-      | None -> Alcotest.fail "event should produce a record")
-    sample_records
+    (fun ev ->
+      Alcotest.(check int) "serialized size" 280 (Bytes.length (write ev)))
+    sample_events
 
 let test_record_roundtrip () =
   List.iter
-    (fun r ->
-      match r with
-      | Some r ->
-          let r' =
-            Record.of_bytes ~values:r.Record.values ~warp_size:ws
-              (Record.to_bytes r)
-          in
-          Alcotest.(check bool) "roundtrip" true (r = r')
-      | None -> Alcotest.fail "expected a record")
-    sample_records
+    (fun ev ->
+      let img = write ev in
+      let again = write (decode ~values:(values_of ev) img ~pos:0) in
+      Alcotest.(check bool) "roundtrip" true (Bytes.equal img again))
+    sample_events
 
 let test_record_fence_elided () =
-  Alcotest.(check bool) "fences produce no record" true
-    (Record.of_event ~warp_size:ws
-       (Simt.Event.Fence { warp = 0; insn = 1; scope = Ptx.Ast.Gl; mask = 1 })
-    = None)
+  let buf = Bytes.make Wire.size '\000' in
+  Alcotest.(check bool) "fences produce no record" false
+    (Wire.write_event buf ~pos:0 ~insn:1
+       (Simt.Event.Fence { warp = 0; insn = 1; scope = Ptx.Ast.Gl; mask = 1 }));
+  Alcotest.(check bool) "kernel completion produces no record" false
+    (Wire.write_event buf ~pos:0 ~insn:(-1) Simt.Event.Kernel_done)
 
 let test_record_event_roundtrip () =
   List.iter
-    (fun r ->
-      match r with
-      | Some r ->
-          let ev = Record.to_event r in
-          let r2 = Record.of_event ~warp_size:ws ev in
-          Alcotest.(check bool) "event roundtrip" true (Some r = r2)
-      | None -> ())
-    sample_records
+    (fun ev ->
+      Alcotest.(check bool) "event roundtrip" true
+        (decode ~values:(values_of ev) (write ev) ~pos:0 = ev))
+    sample_events
 
-(* ---- Record.View vs decode ---------------------------------------- *)
+(* ---- Wire.View vs the writer --------------------------------------- *)
 
-(* Arbitrary records (not just ones reachable from events), serialized
-   at a non-zero offset inside a larger dirty buffer: every [View]
-   accessor must agree field-for-field with the decoded record. *)
-let gen_record =
+(* Arbitrary events (not just ones the simulator emits), serialized at
+   a non-zero offset inside a larger dirty buffer: every [View]
+   accessor must agree field-for-field with the event written. *)
+let gen_event =
   QCheck2.Gen.(
     let gen_kind =
       oneofl
@@ -108,84 +150,85 @@ let gen_record =
     let gen_mask = int_range 0 0xFFFF in
     let gen_warp = oneof [ return (-1); int_range 0 4096 ] in
     let gen_insn = oneof [ return (-1); int_range 0 100_000 ] in
-    let gen_addrs =
-      array_size (return ws) (int_range 0 0x3FFF_FFFF)
-    in
-    let mk warp insn op mask addrs =
-      { Record.warp; insn; op; mask; addrs; values = [||] }
-    in
-    let gen_op =
-      oneof
-        [
-          map3
-            (fun kind space width -> Record.Access { kind; space; width })
-            gen_kind gen_space (oneofl [ 1; 2; 4; 8 ]);
-          map2
-            (fun t e -> Record.Branch_if { then_mask = t; else_mask = e })
-            gen_mask gen_mask;
-          return Record.Branch_else;
-          return Record.Branch_fi;
-          map (fun b -> Record.Barrier { block = b }) (int_range 0 0xFFFF);
-          map
-            (fun e -> Record.Barrier_divergence { expected = e })
-            (int_range 0 0xFFFF);
-        ]
-    in
-    map
-      (fun ((warp, insn, op), (mask, addrs)) ->
-        mk warp insn op mask addrs)
-      (pair (triple gen_warp gen_insn gen_op) (pair gen_mask gen_addrs)))
+    let gen_addrs = array_size (return ws) (int_range 0 0x3FFF_FFFF) in
+    oneof
+      [
+        map3
+          (fun (warp, insn) (kind, space, width) (mask, addrs) ->
+            Simt.Event.Access
+              { warp; insn; kind; space; mask; addrs; values = [||]; width })
+          (pair gen_warp gen_insn)
+          (triple gen_kind gen_space (oneofl [ 1; 2; 4; 8 ]))
+          (pair gen_mask gen_addrs);
+        map3
+          (fun (warp, insn) then_mask else_mask ->
+            Simt.Event.Branch_if { warp; insn; then_mask; else_mask })
+          (pair gen_warp gen_insn) gen_mask gen_mask;
+        map2 (fun warp mask -> Simt.Event.Branch_else { warp; mask }) gen_warp gen_mask;
+        map2 (fun warp mask -> Simt.Event.Branch_fi { warp; mask }) gen_warp gen_mask;
+        map (fun block -> Simt.Event.Barrier { block }) (int_range 0 0xFFFF);
+        map3
+          (fun (warp, insn) mask expected ->
+            Simt.Event.Barrier_divergence { warp; insn; mask; expected })
+          (pair gen_warp gen_insn) gen_mask (int_range 0 0xFFFF);
+      ])
 
-let print_record r = Format.asprintf "%a" Record.pp r
+let print_event ev = Format.asprintf "%a" Simt.Event.pp ev
 
-let prop_view_matches_decode =
-  QCheck2.Test.make
-    ~name:"Record.View accessors agree with Record.of_bytes" ~count:500
-    ~print:print_record gen_record (fun r ->
-      let img = Record.to_bytes r in
-      let pos = Record.wire_size in
-      let buf = Bytes.make (3 * Record.wire_size) '\xAB' in
-      Bytes.blit img 0 buf pos Record.wire_size;
-      let d = Record.of_bytes ~warp_size:ws img in
-      let module V = Record.View in
-      V.warp buf ~pos = d.Record.warp
-      && V.insn buf ~pos = d.Record.insn
-      && V.mask buf ~pos = d.Record.mask
-      &&
-      match d.Record.op with
-      | Record.Access { kind; space; width } ->
-          V.opcode buf ~pos = Barracuda.Wire.opcode_of_kind kind
-          && Barracuda.Wire.space_of_code (V.aux buf ~pos) = space
-          && V.width buf ~pos = width
+let prop_view_matches_writer =
+  QCheck2.Test.make ~name:"Wire.View accessors agree with Wire.write_event"
+    ~count:500 ~print:print_event gen_event (fun ev ->
+      let pos = Wire.size in
+      let buf = Bytes.make (3 * Wire.size) '\xAB' in
+      ignore (Wire.write_event buf ~pos ~insn:(insn_of ev) ev);
+      let module V = Wire.View in
+      match ev with
+      | Simt.Event.Access a ->
+          V.opcode buf ~pos = Wire.opcode_of_kind a.Simt.Event.kind
+          && Wire.space_of_code (V.aux buf ~pos) = a.Simt.Event.space
+          && V.width buf ~pos = a.Simt.Event.width
+          && V.warp buf ~pos = a.Simt.Event.warp
+          && V.insn buf ~pos = a.Simt.Event.insn
+          && V.mask buf ~pos = a.Simt.Event.mask
           && Array.for_all
-               (fun lane -> V.addr buf ~pos ~lane = d.Record.addrs.(lane))
-               (Array.init (min ws Barracuda.Wire.max_lanes) Fun.id)
-      | Record.Branch_if { then_mask; else_mask } ->
-          V.opcode buf ~pos = Barracuda.Wire.op_branch_if
+               (fun lane -> V.addr buf ~pos ~lane = a.Simt.Event.addrs.(lane))
+               (Array.init (min ws Wire.max_lanes) Fun.id)
+      | Simt.Event.Branch_if { warp; insn; then_mask; else_mask } ->
+          V.opcode buf ~pos = Wire.op_branch_if
+          && V.warp buf ~pos = warp && V.insn buf ~pos = insn
+          && V.mask buf ~pos = then_mask lor else_mask
           && V.then_mask buf ~pos = then_mask
           && V.else_mask buf ~pos = else_mask
-      | Record.Branch_else -> V.opcode buf ~pos = Barracuda.Wire.op_branch_else
-      | Record.Branch_fi -> V.opcode buf ~pos = Barracuda.Wire.op_branch_fi
-      | Record.Barrier { block } ->
-          V.opcode buf ~pos = Barracuda.Wire.op_barrier
-          && V.aux buf ~pos = block
-      | Record.Barrier_divergence { expected } ->
-          V.opcode buf ~pos = Barracuda.Wire.op_barrier_divergence
-          && V.aux buf ~pos = expected)
+      | Simt.Event.Branch_else { warp; mask } ->
+          V.opcode buf ~pos = Wire.op_branch_else
+          && V.warp buf ~pos = warp && V.insn buf ~pos = -1
+          && V.mask buf ~pos = mask
+      | Simt.Event.Branch_fi { warp; mask } ->
+          V.opcode buf ~pos = Wire.op_branch_fi
+          && V.warp buf ~pos = warp && V.insn buf ~pos = -1
+          && V.mask buf ~pos = mask
+      | Simt.Event.Barrier { block } ->
+          V.opcode buf ~pos = Wire.op_barrier
+          && V.aux buf ~pos = block && V.warp buf ~pos = -1
+      | Simt.Event.Barrier_divergence { warp; insn; mask; expected } ->
+          V.opcode buf ~pos = Wire.op_barrier_divergence
+          && V.warp buf ~pos = warp && V.insn buf ~pos = insn
+          && V.mask buf ~pos = mask && V.aux buf ~pos = expected
+      | Simt.Event.Fence _ | Simt.Event.Kernel_done -> false)
 
 (* ---- Queue ----------------------------------------------------------- *)
 
 (* Fill a ring slot with a minimal load record whose warp field carries
    the sequence number [i] (queue tests read it back via the view). *)
 let fill_payload i buf off =
-  Bytes.fill buf off Record.wire_size '\000';
+  Bytes.fill buf off Wire.size '\000';
   Bytes.set_uint8 buf off Barracuda.Wire.magic;
   Bytes.set_uint8 buf (off + 1) Barracuda.Wire.version;
   Bytes.set_uint8 buf (off + 2) Barracuda.Wire.op_load;
   Bytes.set_uint16_le buf (off + 12) (i land 0xFFFF);
   Bytes.set_uint16_le buf (off + 14) ((i lsr 16) land 0xFFFF)
 
-let seq_of buf off = Record.View.warp buf ~pos:off
+let seq_of buf off = Wire.View.warp buf ~pos:off
 
 let test_queue_fifo () =
   let q = Queue.create ~capacity:8 in
@@ -303,7 +346,7 @@ let test_steady_state_allocation () =
     true
     (per_record < 8.0)
 
-(* ---- Pipeline -------------------------------------------------------- *)
+(* ---- End-to-end driver ---------------------------------------------- *)
 
 let race_fingerprint report =
   Report.errors report
@@ -313,16 +356,11 @@ let race_fingerprint report =
        | Report.Barrier_divergence _ -> None)
   |> List.sort_uniq Stdlib.compare
 
-let single_queue_config =
-  {
-    Pipeline.default_config with
-    queues = 1;
-    detector = { Barracuda.Detector.default_config with max_reports = 100000 };
-  }
+let detector = { Barracuda.Detector.default_config with max_reports = 100000 }
 
-(* The queue transport must be transparent: a detector fed the exact
-   event stream the pipeline forwards must agree with the detector fed
-   through records and a single queue.  (Comparing against a separate
+(* The sealed record stream must be transparent: a detector fed the
+   exact event stream the driver forwards (its tee) must agree with the
+   detector fed through sealed records.  (Comparing against a separate
    native run would be too strong: instrumentation changes warp
    interleaving, and FastTrack-style detection is schedule-sensitive.) *)
 let prop_pipeline_matches_teed_detector =
@@ -332,20 +370,19 @@ let prop_pipeline_matches_teed_detector =
       let k = Gen.kernel_of_program prog in
       let m = Simt.Machine.create ~layout:Gen.layout () in
       let args = Gen.setup m in
-      let config =
-        { Barracuda.Detector.default_config with max_reports = 100000 }
+      let direct =
+        Barracuda.Detector.create ~config:detector ~layout:Gen.layout k
       in
-      let direct = Barracuda.Detector.create ~config ~layout:Gen.layout k in
-      let pr =
-        Pipeline.run
-          ~config:{ single_queue_config with prune = false }
+      let r =
+        Session.run_stream ~detector
+          ~inst:(Instrument.Pass.instrument ~prune:false ~static:true k)
           ~tee:(Barracuda.Detector.feed direct) ~machine:m k args
       in
       race_fingerprint (Barracuda.Detector.report direct)
-      = race_fingerprint (Pipeline.report pr))
+      = race_fingerprint r.Session.sr_report)
 
 (* Weaker cross-run property that survives schedule perturbation: a
-   race-free program stays race-free through the full pipeline. *)
+   race-free program stays race-free through the instrumented check. *)
 let prop_pipeline_no_false_positives =
   QCheck2.Test.make
     ~name:"pipeline never invents races on programs the detector clears"
@@ -359,8 +396,12 @@ let prop_pipeline_no_false_positives =
       else begin
         let m2 = Simt.Machine.create ~layout:Gen.layout () in
         let args2 = Gen.setup m2 in
-        let pr = Pipeline.run ~config:single_queue_config ~machine:m2 k args2 in
-        not (Report.has_race (Pipeline.report pr))
+        let r =
+          Session.run_stream ~detector
+            ~inst:(Instrument.Pass.instrument ~prune:true ~static:true k)
+            ~machine:m2 k args2
+        in
+        not (Report.has_race r.Session.sr_report)
       end)
 
 let test_pipeline_backpressure () =
@@ -369,15 +410,14 @@ let test_pipeline_backpressure () =
   let k = Gen.kernel_of_program prog in
   let m = Simt.Machine.create ~layout:Gen.layout () in
   let args = Gen.setup m in
-  let r =
-    Pipeline.run
-      ~config:{ single_queue_config with queue_capacity = 2 }
-      ~machine:m k args
+  let sink, _ =
+    Pipeline.parallel_sink ~queues:1 ~queue_capacity:2 ~config:detector
+      ~layout:Gen.layout k
   in
-  Alcotest.(check bool) "records flowed" true
-    (r.Pipeline.queue_stats.Pipeline.records > 0);
+  let r = Session.run_stream ~sink ~detector ~machine:m k args in
+  Alcotest.(check bool) "records flowed" true (r.Session.sr_records > 0);
   Alcotest.(check bool) "race still found" true
-    (Report.has_race (Pipeline.report r))
+    (Report.has_race r.Session.sr_report)
 
 let test_pipeline_instrumented_execution_correct () =
   (* the instrumented kernel must compute the same results *)
@@ -388,7 +428,11 @@ let test_pipeline_instrumented_execution_correct () =
   let _ = Simt.Machine.launch m1 k args1 in
   let m2 = Simt.Machine.create ~layout:Gen.layout () in
   let args2 = Gen.setup m2 in
-  let _ = Pipeline.run ~machine:m2 k args2 in
+  let _ =
+    Session.run_stream
+      ~inst:(Instrument.Pass.instrument ~prune:true ~static:true k)
+      ~machine:m2 k args2
+  in
   let base1 = Int64.to_int args1.(0) and base2 = Int64.to_int args2.(0) in
   let total = Vclock.Layout.total_threads Gen.layout in
   let own_base = 4 * (Gen.words + Gen.sync_words) in
@@ -420,7 +464,7 @@ let suite =
   ]
   @ List.map Gen.to_alcotest
       [
-        prop_view_matches_decode;
+        prop_view_matches_writer;
         prop_pipeline_matches_teed_detector;
         prop_pipeline_no_false_positives;
       ]

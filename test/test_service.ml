@@ -466,6 +466,25 @@ let test_crash_isolation () =
           Alcotest.(check int) "one completed job" 1 s.P.completed
       | Result.Error e -> Alcotest.failf "status: %s" e)
 
+let test_wide_warp_fails_job () =
+  (* the layout is client input: a warp wider than a wire record must
+     fail its job with the reason, not check a truncated stream *)
+  with_server "wide" (fun socket _t ->
+      let sub layout =
+        { (P.submit_defaults ~kind:P.Check trivial_ptx) with P.layout }
+      in
+      (match Service.Client.submit ~socket (sub (Some (2, 96, 48))) with
+      | Ok (P.Failed { code; message; _ }) ->
+          Alcotest.(check string) "code" "exec_error" code;
+          Alcotest.(check bool) ("names the warp size: " ^ message) true
+            (String.length message > 0
+            && String.sub message 0 13 = "warp size 48 ")
+      | Ok r -> Alcotest.failf "expected Failed, got %s" (P.encode_response r)
+      | Result.Error e -> Alcotest.failf "transport: %s" e);
+      match submit_verdict ~socket (sub (Some (2, 64, 32))) with
+      | Ok o -> Alcotest.(check bool) "warp 32 still checks" true (o.P.verdict = P.Race_free)
+      | Result.Error e -> Alcotest.failf "submit at warp 32: %s" e)
+
 let test_job_timeout () =
   with_server ~max_steps:1 "timeout" (fun socket _t ->
       (match
@@ -1090,4 +1109,6 @@ let suite =
       test_tenant_gauge_hygiene;
     Alcotest.test_case "status tenants end-to-end" `Quick
       test_status_tenants_end_to_end;
+    Alcotest.test_case "wide warp layout fails the job" `Quick
+      test_wide_warp_fails_job;
   ]

@@ -5,7 +5,7 @@
    serial pipeline lists, which in turn must agree with the reference
    semantics. *)
 
-module Pipeline = Gpu_runtime.Pipeline
+module Session = Gpu_runtime.Session
 module SPipeline = Shard.Pipeline
 module Report = Barracuda.Report
 
@@ -44,16 +44,13 @@ let detector_config =
 let serial_report (c : Bugsuite.Case.t) =
   let m = Simt.Machine.create ~layout:c.Bugsuite.Case.layout () in
   let args = c.Bugsuite.Case.setup m in
-  let config =
-    {
-      Pipeline.default_config with
-      queues = 1;
-      prune = false;
-      detector = detector_config;
-    }
+  let kernel = c.Bugsuite.Case.kernel in
+  let r =
+    Session.run_stream ~detector:detector_config
+      ~inst:(Instrument.Pass.instrument ~prune:false ~static:true kernel)
+      ~machine:m kernel args
   in
-  let r = Pipeline.run ~config ~machine:m c.Bugsuite.Case.kernel args in
-  Pipeline.report r
+  r.Session.sr_report
 
 let sharded_result ?fault ~shards (c : Bugsuite.Case.t) =
   let m = Simt.Machine.create ~layout:c.Bugsuite.Case.layout () in
@@ -174,7 +171,7 @@ let test_broadcast_delivery () =
   let r =
     SPipeline.run_sharded ~config ~machine:m w.Workloads.Workload.kernel args
   in
-  let stream = r.SPipeline.queue_stats.Pipeline.records in
+  let stream = r.SPipeline.records in
   Array.iteri
     (fun i det ->
       let s = Barracuda.Detector.stats det in

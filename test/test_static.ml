@@ -4,7 +4,7 @@
    [Safe] access must leave the detected race set bitwise unchanged on
    the whole bug suite, serial and sharded. *)
 
-module Pipeline = Gpu_runtime.Pipeline
+module Session = Gpu_runtime.Session
 module SPipeline = Shard.Pipeline
 module Report = Barracuda.Report
 module A = Static.Analysis
@@ -42,17 +42,13 @@ let detector_config =
 let serial_report ~static (c : Bugsuite.Case.t) =
   let m = Simt.Machine.create ~layout:c.Bugsuite.Case.layout () in
   let args = c.Bugsuite.Case.setup m in
-  let config =
-    {
-      Pipeline.default_config with
-      queues = 1;
-      prune = false;
-      static_prune = static;
-      detector = detector_config;
-    }
+  let kernel = c.Bugsuite.Case.kernel in
+  let r =
+    Session.run_stream ~detector:detector_config
+      ~inst:(Instrument.Pass.instrument ~prune:false ~static kernel)
+      ~machine:m kernel args
   in
-  let r = Pipeline.run ~config ~machine:m c.Bugsuite.Case.kernel args in
-  Pipeline.report r
+  r.Session.sr_report
 
 let sharded_report ~static ~shards (c : Bugsuite.Case.t) =
   let m = Simt.Machine.create ~layout:c.Bugsuite.Case.layout () in
@@ -255,12 +251,12 @@ let test_static_racy_dynamic_agreement () =
   let kernel = parse static_racy_src in
   let out = Int64.of_int (Simt.Machine.alloc_global m 64) in
   let r =
-    Pipeline.run
-      ~config:{ Pipeline.default_config with detector = detector_config }
+    Session.run_stream ~detector:detector_config
+      ~inst:(Instrument.Pass.instrument ~prune:true ~static:true kernel)
       ~machine:m kernel [| out |]
   in
   Alcotest.(check bool) "dynamic detector agrees" true
-    (Report.has_race (Pipeline.report r))
+    (Report.has_race r.Session.sr_report)
 
 (* ---- soundness over the bug suite -------------------------------- *)
 

@@ -1,20 +1,25 @@
 (* Telemetry subsystem: registry semantics, exporter round-trips, and
-   the pipeline hooks.  The counters the hooks maintain must agree with
-   the pipeline's own [queue_stats], and enabling telemetry must not
+   the driver hooks.  The counters the parallel sink's hooks maintain
+   must agree with its own queue stats, and enabling telemetry must not
    perturb detector verdicts. *)
 
 module W = Workloads.Workload
 module Pipeline = Gpu_runtime.Pipeline
+module Session = Gpu_runtime.Session
 
 let with_telemetry f =
   Telemetry.Registry.set_enabled true;
   Telemetry.Registry.reset Telemetry.Registry.default;
   Fun.protect ~finally:(fun () -> Telemetry.Registry.set_enabled false) f
 
+(* The instrumented check through the parallel sink: the one path that
+   exercises every stage span and queue hook. *)
 let run_pipeline (w : W.t) =
-  let m = W.machine w in
-  let args = w.W.setup m in
-  Pipeline.run ~machine:m w.W.kernel args
+  let sink, stats =
+    Pipeline.parallel_sink ~queues:2 ~layout:w.W.layout w.W.kernel
+  in
+  let r = W.run_pipeline ~sink w in
+  (r, stats ())
 
 (* ------------------------------------------------------------------ *)
 (* Metric and registry semantics                                       *)
@@ -144,29 +149,31 @@ let test_prometheus () =
 (* ------------------------------------------------------------------ *)
 (* Pipeline hooks                                                      *)
 
-let stage_names = [ "instrument"; "execute"; "queue"; "decode"; "detect" ]
+let stage_names = [ "instrument"; "execute"; "queue"; "detect" ]
 
 let test_hooks_match_queue_stats () =
   with_telemetry (fun () ->
       let w = Workloads.Registry.find "backprop" in
-      let r = run_pipeline w in
+      let r, stats = run_pipeline w in
       let reg = Telemetry.Registry.default in
       let counter = Telemetry.Registry.find_counter reg in
       Alcotest.(check int) "records counter = queue_stats.records"
-        r.Pipeline.queue_stats.Pipeline.records
+        stats.Pipeline.records
         (counter "barracuda_pipeline_records_total");
       Alcotest.(check int) "queue pushes = records shipped"
-        r.Pipeline.queue_stats.Pipeline.records
+        stats.Pipeline.records
         (counter "barracuda_queue_pushes_total");
       Alcotest.(check int) "stalls counter = queue_stats.stalls"
-        r.Pipeline.queue_stats.Pipeline.stalls
+        stats.Pipeline.stalls
         (counter "barracuda_pipeline_stalls_total");
       Alcotest.(check int) "high watermark gauge = queue_stats"
-        r.Pipeline.queue_stats.Pipeline.high_watermark
+        stats.Pipeline.high_watermark
         (Telemetry.Registry.find_gauge reg "barracuda_queue_high_watermark");
       Alcotest.(check int) "detector saw every record"
-        r.Pipeline.queue_stats.Pipeline.records
-        (counter "barracuda_detector_records_total"))
+        stats.Pipeline.records
+        (counter "barracuda_detector_records_total");
+      Alcotest.(check int) "the driver counted the same records"
+        r.Session.sr_records stats.Pipeline.records)
 
 let test_stage_spans_in_json () =
   with_telemetry (fun () ->
@@ -255,8 +262,7 @@ let suite =
     Alcotest.test_case "Prometheus exposition format" `Quick test_prometheus;
     Alcotest.test_case "hooks match queue_stats" `Quick
       test_hooks_match_queue_stats;
-    Alcotest.test_case "five stage spans exported" `Quick
-      test_stage_spans_in_json;
+    Alcotest.test_case "stage spans exported" `Quick test_stage_spans_in_json;
     Alcotest.test_case "verdicts unchanged by telemetry" `Quick
       test_verdicts_unchanged;
     Alcotest.test_case "session rollups" `Quick test_session_rollups;
