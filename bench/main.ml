@@ -741,108 +741,6 @@ let section_service () =
     (List.length rows)
 
 (* ------------------------------------------------------------------ *)
-(* Sharded detection engine -> BENCH_shard.json                        *)
-
-let shard_baseline_json = "bench/baseline_shard.json"
-let key_shard_serial = "barracuda_bench_shard_serial_records_per_sec"
-let key_shard8_detect = "barracuda_bench_shard8_detect_records_per_sec"
-
-let section_shard () =
-  header "Sharded detection engine: broadcast transport (BENCH_shard.json)";
-  let w = Workloads.Registry.find "dxtc" in
-  let run_serial () =
-    let r = W.run_pipeline w in
-    ( r.Gpu_runtime.Session.sr_records,
-      r.Gpu_runtime.Session.sr_detect_ns,
-      Barracuda.Report.has_race r.Gpu_runtime.Session.sr_report )
-  in
-  let run_sharded shards () =
-    let m = W.machine w in
-    let args = w.W.setup m in
-    let r =
-      Shard.Pipeline.run_sharded
-        ~config:{ Shard.Pipeline.default_config with Shard.Pipeline.shards }
-        ~machine:m w.W.kernel args
-    in
-    ( r.Shard.Pipeline.records,
-      r.Shard.Pipeline.detect_ns,
-      Barracuda.Report.has_race r.Shard.Pipeline.report )
-  in
-  (* e2e throughput counts the whole job (simulation included);
-     detect throughput counts only the busiest shard's time inside the
-     detector — the number the partitioned checks are accountable for,
-     and the one comparable to the isolated transport pump *)
-  let measure run =
-    ignore (run ()) (* warm shadow pages / code paths *);
-    let t0 = Telemetry.Clock.now_ns () in
-    let records, detect_ns, racy = run () in
-    let wall = Telemetry.Clock.ns_to_s (Telemetry.Clock.elapsed_ns ~since:t0) in
-    let detect_s = Int64.to_float detect_ns /. 1e9 in
-    ( float_of_int records /. wall,
-      float_of_int records /. Float.max 1e-9 detect_s,
-      Telemetry.Clock.ns_to_ms detect_ns,
-      racy )
-  in
-  Printf.printf "  %-8s %15s %17s %11s %8s\n" "config" "e2e rec/s"
-    "detect rec/s" "detect ms" "races";
-  let _, _, _, serial_racy = measure run_serial in
-  let serial_e2e, serial_det, serial_ms, _ = measure run_serial in
-  Printf.printf "  %-8s %15.0f %17.0f %11.2f %8b\n" "serial" serial_e2e
-    serial_det serial_ms serial_racy;
-  let rows =
-    List.map
-      (fun shards ->
-        let e2e, det, ms, racy = measure (run_sharded shards) in
-        Printf.printf "  %-8s %15.0f %17.0f %11.2f %8b\n"
-          (Printf.sprintf "%d-shard" shards)
-          e2e det ms (racy = serial_racy);
-        (shards, e2e, det, ms))
-      [ 1; 2; 4; 8 ]
-  in
-  let hot = hot_pump_records_per_sec () in
-  let _, _, shard8_det, _ = List.find (fun (s, _, _, _) -> s = 8) rows in
-  Printf.printf "  transport pump %12.0f records/s (isolated, serial)\n" hot;
-  Printf.printf
-    "  8-shard detect throughput is %.2fx the isolated transport pump\n"
-    (shard8_det /. hot);
-  Printf.printf
-    "  (single-core host: the broadcast engine pays one 280-byte blit per\n\
-    \   shard per record without gaining parallel speedup; the partitioned\n\
-    \   checks are what shrink per-shard detect time — see EXPERIMENTS.md)\n";
-  let registry = Telemetry.Registry.default in
-  Telemetry.Registry.reset registry;
-  Telemetry.Registry.set_enabled true;
-  (* one instrumented 8-shard run so the engine's own telemetry —
-     per-shard record counters, broadcast-epoch histogram, imbalance
-     gauge — lands in the exported artifact *)
-  ignore (run_sharded 8 ());
-  Telemetry.Metric.gauge_set
-    (Telemetry.Registry.gauge
-       ~help:"Serial pipeline end-to-end throughput on the shard bench workload"
-       registry key_shard_serial)
-    (int_of_float serial_e2e);
-  Telemetry.Metric.gauge_set
-    (Telemetry.Registry.gauge
-       ~help:"8-shard detection throughput (records over busiest shard time)"
-       registry key_shard8_detect)
-    (int_of_float shard8_det);
-  List.iter
-    (fun (shards, e2e, _, _) ->
-      Telemetry.Metric.gauge_set
-        (Telemetry.Registry.gauge
-           ~help:"Sharded pipeline end-to-end throughput" registry
-           (Printf.sprintf "barracuda_bench_shard%d_records_per_sec" shards))
-        (int_of_float e2e))
-    rows;
-  Telemetry.Registry.set_enabled false;
-  warn_on_regression ~baseline:shard_baseline_json ~key:key_shard_serial
-    ~label:"shard bench serial throughput" ~fresh:serial_e2e ();
-  warn_on_regression ~baseline:shard_baseline_json ~key:key_shard8_detect
-    ~label:"8-shard detection throughput" ~fresh:shard8_det ();
-  Telemetry.Export.write_json ~path:"BENCH_shard.json" registry;
-  Printf.printf "  wrote BENCH_shard.json\n"
-
-(* ------------------------------------------------------------------ *)
 (* Streaming sessions -> BENCH_stream.json                             *)
 
 let stream_baseline_json = "bench/baseline_stream.json"
@@ -1413,7 +1311,6 @@ let sections =
     ("pipeline", section_pipeline);
     ("predict", section_predict);
     ("service", section_service);
-    ("shard", section_shard);
     ("stream", section_stream);
     ("static", section_static);
     ("repair", section_repair);

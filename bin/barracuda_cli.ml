@@ -87,28 +87,6 @@ let args_term =
            allocate device memory, $(b,int:V) (or a bare integer) for a \
            scalar. Missing arguments default to $(b,alloc:4096).")
 
-let resolve_args machine kernel specs =
-  let nparams = List.length kernel.Ptx.Ast.params in
-  let parse spec =
-    match String.split_on_char ':' spec with
-    | [ "alloc"; n ] ->
-        Int64.of_int (Simt.Machine.alloc_global machine (int_of_string n))
-    | [ "int"; v ] -> Int64.of_string v
-    | [ v ] -> Int64.of_string v
-    | _ -> failwith (Printf.sprintf "bad argument spec %S" spec)
-  in
-  let given = List.map parse specs in
-  let missing = nparams - List.length given in
-  if missing < 0 then
-    failwith
-      (Printf.sprintf "kernel %s takes %d arguments, got %d"
-         kernel.Ptx.Ast.kname nparams (List.length given));
-  let fill =
-    List.init missing (fun _ ->
-        Int64.of_int (Simt.Machine.alloc_global machine 4096))
-  in
-  Array.of_list (given @ fill)
-
 let load_kernel file =
   let ic = open_in file in
   let n = in_channel_length ic in
@@ -182,18 +160,17 @@ let write_metrics path =
         exit 1
 
 let check_cmd =
-  let run layout file specs max_reports dump_trace metrics shards record =
+  let run layout file specs max_reports dump_trace metrics record =
     guard @@ fun () ->
-    if shards < 1 then failwith "--shards must be at least 1";
     let kernel = load_kernel file in
     let machine = Simt.Machine.create ~layout () in
-    let args = resolve_args machine kernel specs in
+    let args = Service.Exec.resolve_args machine kernel specs in
     let detector =
       { Barracuda.Detector.default_config with max_reports = max_int }
     in
-    (* Every flag only adds a hook or picks a sink: the producer, the
-       executed kernel and so the verdict are the same under all of
-       them. *)
+    (* Every flag only adds a hook: the producer, the executed kernel,
+       the serial detector and so the verdict are the same under all
+       of them. *)
     if metrics <> None then begin
       Telemetry.Registry.set_enabled true;
       Telemetry.Registry.reset Telemetry.Registry.default
@@ -207,14 +184,9 @@ let check_cmd =
         dump_trace
     in
     let capture = Option.map (fun _ -> Buffer.create 65536) record in
-    let sink =
-      if shards > 1 then
-        Some (Shard.Stream.sink ~config:detector ~layout ~shards kernel)
-      else None
-    in
     let result =
-      Gpu_runtime.Session.run_stream ?sink ~detector ?capture ?tee ~machine
-        kernel args
+      Gpu_runtime.Session.run_stream ~detector ?capture ?tee ~machine kernel
+        args
     in
     Option.iter
       (fun path ->
@@ -246,16 +218,6 @@ let check_cmd =
                ~doc:"Write the abstract trace (paper 3.1) to FILE for \
                      offline replay.")
   in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Detector domains to shard detection across (default 1, the \
-             serial detector).  Shadow state is partitioned \
-             deterministically; verdicts are identical at every shard \
-             count.")
-  in
   let record =
     Arg.(
       value
@@ -271,7 +233,7 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Race-check a PTX kernel on the simulator.")
     Term.(
       const run $ layout_term $ file_term $ args_term $ max_reports
-      $ dump_trace $ metrics_term $ shards $ record)
+      $ dump_trace $ metrics_term $ record)
 
 let profile_cmd =
   let stage_order = [ "instrument"; "execute"; "queue"; "detect" ] in
@@ -279,7 +241,7 @@ let profile_cmd =
     guard @@ fun () ->
     let kernel = load_kernel file in
     let machine = Simt.Machine.create ~layout () in
-    let args = resolve_args machine kernel specs in
+    let args = Service.Exec.resolve_args machine kernel specs in
     Telemetry.Registry.set_enabled true;
     Telemetry.Registry.reset Telemetry.Registry.default;
     let t0 = Telemetry.Clock.now_ns () in
@@ -713,7 +675,7 @@ let repair_cmd =
         Telemetry.Registry.reset Telemetry.Registry.default
     | None -> ());
     let kernel = load_kernel file in
-    let setup machine = resolve_args machine kernel specs in
+    let setup machine = Service.Exec.resolve_args machine kernel specs in
     let config =
       {
         Repair.Engine.default_config with
@@ -787,8 +749,8 @@ let repair_cmd =
               r.Repair.Engine.rejected;
             Format.printf "%s@." (Repair.Engine.patch_of ~original:kernel f);
             Format.printf
-              "validated: serial x2 (deterministic), sharded parity, \
-               predictive schedules, fault slice — all race-free.@.";
+              "validated: serial x2 (deterministic), predictive \
+               schedules, fault slice — all race-free.@.";
             write_out (Some f);
             0
         | Repair.Engine.Unfixable ->
@@ -836,10 +798,9 @@ let repair_cmd =
          "Diagnose a racy PTX kernel and search for a minimal fix — \
           atomic promotion, fence strengthening or insertion, or a \
           bar.sync at the CFG phase boundary — accepting only a patch \
-          that the unchanged detector (serial and sharded), the \
-          predictive schedule explorer and a fault-injection slice all \
-          agree is race-free.  Exits 1 when the kernel is racy and no \
-          candidate survives validation.")
+          that the unchanged detector, the predictive schedule explorer \
+          and a fault-injection slice all agree is race-free.  Exits 1 \
+          when the kernel is racy and no candidate survives validation.")
     Term.(
       const run $ layout_term $ file_term $ args_term $ max_candidates
       $ max_steps $ seed $ json $ out $ metrics_term)
@@ -1003,7 +964,7 @@ let sweep_cmd =
   let run layout file specs =
     guard @@ fun () ->
     let kernel = load_kernel file in
-    let setup machine = resolve_args machine kernel specs in
+    let setup machine = Service.Exec.resolve_args machine kernel specs in
     let result = Barracuda.Warp_sweep.sweep ~layout ~setup kernel in
     Format.printf "%a" Barracuda.Warp_sweep.pp result;
     if result.Barracuda.Warp_sweep.latent then 1 else 0
@@ -1064,10 +1025,9 @@ let parse_tenant_quota spec =
 
 let serve_cmd =
   let run socket workers queue_capacity cache_capacity max_steps deadline_ms
-      job_shards sessions quotas campaign_dir campaign_seed campaign_cases
+      sessions quotas campaign_dir campaign_seed campaign_cases
       campaign_trials campaign_batch campaign_duty =
     guard @@ fun () ->
-    if job_shards < 1 then failwith "--job-shards must be at least 1";
     if sessions < 0 then failwith "--sessions must be at least 0";
     (* The daemon always runs with telemetry on: the status reply, the
        metrics request and the Prometheus exporter feed from it. *)
@@ -1082,7 +1042,6 @@ let serve_cmd =
         cache_capacity;
         max_steps;
         job_deadline_ms = deadline_ms;
-        job_shards;
         session_seats = sessions;
         tenant_quotas;
       }
@@ -1120,18 +1079,10 @@ let serve_cmd =
        Sys.set_signal Sys.sigint (Sys.Signal_handle stop_signal);
        Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_signal)
      with Invalid_argument _ | Sys_error _ -> ());
-    if job_shards > 1 then
-      Format.printf
-        "barracuda service listening on %s (%d job seats x %d shards from a \
-         %d-domain budget, queue %d, cache %d)@."
-        socket
-        (max 1 (workers / job_shards))
-        job_shards workers queue_capacity cache_capacity
-    else
-      Format.printf
-        "barracuda service listening on %s (%d workers, %d session seats, \
-         queue %d, cache %d)@."
-        socket workers sessions queue_capacity cache_capacity;
+    Format.printf
+      "barracuda service listening on %s (%d workers, %d session seats, \
+       queue %d, cache %d)@."
+      socket workers sessions queue_capacity cache_capacity;
     List.iter
       (fun (name, q) ->
         Format.printf
@@ -1180,14 +1131,6 @@ let serve_cmd =
            & info [ "deadline-ms" ] ~docv:"MS"
                ~doc:"Per-job wall-clock deadline; a kernel that exceeds it \
                      fails with a structured deadline error.  0 disables.")
-  in
-  let job_shards =
-    Arg.(value
-           & opt int Service.Server.default_config.Service.Server.job_shards
-           & info [ "job-shards" ] ~docv:"N"
-               ~doc:"Detector domains per job.  Above 1, the --workers \
-                     domain budget is split between job seats and \
-                     intra-job shards (workers / N seats, at least 1).")
   in
   let sessions =
     Arg.(value
@@ -1246,7 +1189,7 @@ let serve_cmd =
           continuous background fault campaign behind a Unix domain \
           socket.")
     Term.(const run $ socket_term $ workers $ queue $ cache $ max_steps
-          $ deadline $ job_shards $ sessions $ quotas $ campaign_dir
+          $ deadline $ sessions $ quotas $ campaign_dir
           $ campaign_seed $ campaign_cases $ campaign_trials
           $ campaign_batch $ campaign_duty)
 

@@ -47,21 +47,12 @@ type service_cell = {
   quarantine_ok : bool;  (* the poison job failed with code "quarantined" *)
 }
 
-type shard_cell = {
-  s_trials : int;
-  s_injected : int;  (* shard-crash injections that actually fired *)
-  s_loud : int;  (* job failed loudly with Shard_crashed *)
-  s_masked : int;  (* crash never fired (stream too short), verdict right *)
-  s_silent_wrong : int;  (* completed wrong, or completed despite a crash *)
-}
-
 type t = {
   seed : int;
   cases : int;
   transport : (string * cell) list;
   machine : machine_cell;
   service : service_cell;
-  shard : shard_cell;
 }
 
 (* ---- seeding / transport (shared machinery in {!Trial}) ---------- *)
@@ -244,76 +235,15 @@ let run_service ~seed cases =
     quarantine_ok;
   }
 
-(* ---- shard crashes (a detector domain dies mid-job) -------------- *)
-
-let sharded_verdict ?fault ~shards (case : Case.t) =
-  let machine = Simt.Machine.create ~layout:case.Case.layout () in
-  let args = case.Case.setup machine in
-  let config = { Shard.Pipeline.default_config with shards; fault } in
-  let result =
-    Shard.Pipeline.run_sharded ~config ~machine case.Case.kernel args
-  in
-  Barracuda.Report.has_race result.Shard.Pipeline.report
-
-(* Each trial dooms one shard's consumer domain a few records into the
-   job.  The only acceptable outcomes are a loud [Shard_crashed]
-   failure or — when the case's record stream is too short for the
-   crash to fire — a correct verdict.  A job that completes despite a
-   fired crash means the merge silently used a dead shard's partial
-   state: the exact failure mode the engine exists to rule out. *)
-let run_shard ~seed ~trials cases =
-  let shards = 3 in
-  List.fold_left
-    (fun acc (case : Case.t) ->
-      let baseline_race, _ = pipeline_verdict case in
-      let rec go acc trial =
-        if trial >= trials then acc
-        else begin
-          let s = trial_seed ~seed ~case_id:case.Case.id ~cls:23 ~trial in
-          let plan =
-            Plan.make
-              {
-                Plan.none with
-                Plan.seed = s;
-                shard_crash_shards = [ trial mod shards ];
-                shard_crash_after = 4;
-              }
-          in
-          let acc = { acc with s_trials = acc.s_trials + 1 } in
-          let acc =
-            match sharded_verdict ~fault:plan ~shards case with
-            | exception Shard.Engine.Shard_crashed _ ->
-                {
-                  acc with
-                  s_loud = acc.s_loud + 1;
-                  s_injected =
-                    acc.s_injected + (Plan.injected plan).Plan.shard_crashes;
-                }
-            | race ->
-                let fired = (Plan.injected plan).Plan.shard_crashes in
-                let acc = { acc with s_injected = acc.s_injected + fired } in
-                if fired > 0 then
-                  { acc with s_silent_wrong = acc.s_silent_wrong + 1 }
-                else if Bool.equal race baseline_race then
-                  { acc with s_masked = acc.s_masked + 1 }
-                else { acc with s_silent_wrong = acc.s_silent_wrong + 1 }
-          in
-          go acc (trial + 1)
-        end
-      in
-      go acc 0)
-    { s_trials = 0; s_injected = 0; s_loud = 0; s_masked = 0; s_silent_wrong = 0 }
-    cases
-
 (* ---- driver ------------------------------------------------------ *)
 
 let take k l = List.filteri (fun i _ -> i < k) l
 
 let run ?(config = default_config) () =
   let all = Bugsuite.Cases.all in
-  let transport_cases, machine_cases, service_cases, shard_cases, trials =
-    if config.quick then (take 8 all, take 4 all, take 6 all, take 4 all, 1)
-    else (all, take 16 all, take 12 all, take 12 all, config.trials)
+  let transport_cases, machine_cases, service_cases, trials =
+    if config.quick then (take 8 all, take 4 all, take 6 all, 1)
+    else (all, take 16 all, take 12 all, config.trials)
   in
   {
     seed = config.seed;
@@ -321,7 +251,6 @@ let run ?(config = default_config) () =
     transport = run_transport ~seed:config.seed ~trials transport_cases;
     machine = run_machine ~seed:config.seed ~trials:1 machine_cases;
     service = run_service ~seed:config.seed service_cases;
-    shard = run_shard ~seed:config.seed ~trials shard_cases;
   }
 
 let ok t =
@@ -331,8 +260,6 @@ let ok t =
   && t.service.parity && t.service.quarantine_ok
   && t.service.workers_restarted > 0
   && t.service.quarantined = 1
-  && t.shard.s_silent_wrong = 0
-  && (t.shard.s_trials = 0 || t.shard.s_loud > 0)
 
 (* ---- rendering --------------------------------------------------- *)
 
@@ -359,14 +286,9 @@ let to_json t =
     t.machine.m_crashed;
   add
     ",\"service\":{\"jobs\":%d,\"parity\":%b,\"workers_restarted\":%d,\
-     \"quarantined\":%d,\"quarantine_ok\":%b}"
+     \"quarantined\":%d,\"quarantine_ok\":%b}}"
     t.service.jobs t.service.parity t.service.workers_restarted
     t.service.quarantined t.service.quarantine_ok;
-  add
-    ",\"shard\":{\"trials\":%d,\"injected\":%d,\"loud\":%d,\"masked\":%d,\
-     \"silent_wrong\":%d}}"
-    t.shard.s_trials t.shard.s_injected t.shard.s_loud t.shard.s_masked
-    t.shard.s_silent_wrong;
   Buffer.contents buf
 
 let pp ppf t =
@@ -391,11 +313,6 @@ let pp ppf t =
     t.service.jobs t.service.parity t.service.workers_restarted
     t.service.quarantined
     (if t.service.quarantine_ok then "ok" else "WRONG");
-  Format.fprintf ppf
-    "  shard: %d trials, %d crashes fired: %d loud failures, %d masked, %d \
-     silent-wrong@."
-    t.shard.s_trials t.shard.s_injected t.shard.s_loud t.shard.s_masked
-    t.shard.s_silent_wrong;
   Format.fprintf ppf "  verdict: %s@."
     (if ok t then "no silent corruption, service healed itself"
      else "FAILED (silent corruption or unhealed service)")

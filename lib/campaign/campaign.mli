@@ -20,11 +20,7 @@
       crashes — every third job kills its worker once (the watchdog
       must respawn and the retried verdicts must match one-shot
       checking) and a final poison job crashes every attempt (it must
-      come back [Failed] with code ["quarantined"]);
-    - {b shard}: sharded detection ({!Shard.Pipeline}) with one shard
-      consumer domain doomed to die mid-job — the job must fail loudly
-      ([Shard.Engine.Shard_crashed]), never complete from a partial
-      merge.
+      come back [Failed] with code ["quarantined"].
 
     Reports carry only counts derived from the seed — no timestamps —
     so a fixed-seed campaign is bitwise reproducible.
@@ -77,34 +73,20 @@ type service_cell = {
   quarantine_ok : bool;
 }
 
-type shard_cell = {
-  s_trials : int;
-  s_injected : int;  (** shard-crash injections that actually fired *)
-  s_loud : int;  (** jobs that failed loudly with [Shard_crashed] *)
-  s_masked : int;
-      (** the crash never fired (record stream shorter than the
-          trigger) and the verdict matched the baseline *)
-  s_silent_wrong : int;
-      (** completed with a wrong verdict, or completed at all despite
-          a fired crash — must be 0 *)
-}
-
 type t = {
   seed : int;
   cases : int;
   transport : (string * cell) list;
   machine : machine_cell;
   service : service_cell;
-  shard : shard_cell;
 }
 
 val run : ?config:config -> unit -> t
 
 val ok : t -> bool
 (** No silent corruption, no transport crashes, service parity held,
-    the watchdog respawned at least one worker, exactly the poison job
-    was quarantined, every fired shard crash failed its job loudly,
-    and at least one shard crash actually fired. *)
+    the watchdog respawned at least one worker and exactly the poison
+    job was quarantined. *)
 
 val to_json : t -> string
 (** One line, keys in a fixed order, starting with

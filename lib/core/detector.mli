@@ -55,7 +55,7 @@ val create :
   Ptx.Ast.kernel ->
   t
 (** [owns] is the shadow-cell ownership predicate used by sharded
-    detection ([Shard.Engine]): called as [owns space region index] for
+    detection (the [shard] library's engine): called as [owns space region index] for
     every shadow cell a data access covers, before the cell (or its
     page) is materialized.  Cells it rejects are neither allocated nor
     checked; everything else — warp clocks, divergence stack, sync

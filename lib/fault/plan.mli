@@ -22,7 +22,8 @@ type spec = {
   smem_flips : int;  (** shared-memory bit flips per launch *)
   fault_window : int;  (** steps across which machine faults spread *)
   shard_crash_shards : int list;
-      (** shard consumer domains ([Shard.Engine]) that die mid-job *)
+      (** consumer domains of the [shard] library's engine that die
+          mid-job *)
   shard_crash_after : int;
       (** records a doomed shard consumes before dying *)
 }

@@ -10,14 +10,12 @@
 type config = {
   max_candidates : int;  (** validation budget per kernel *)
   max_steps : int;
-  shards : int;  (** shard count for the parity check *)
   fault_trials : int;
   seed : int;
 }
 
 let default_config =
-  { max_candidates = 24; max_steps = 400_000; shards = 2; fault_trials = 2;
-    seed = 42 }
+  { max_candidates = 24; max_steps = 400_000; fault_trials = 2; seed = 42 }
 
 type fix = {
   description : string;
@@ -44,7 +42,7 @@ type result = {
 (* ---- telemetry ----------------------------------------------------- *)
 
 let counter name help =
-  lazy (Telemetry.Registry.counter ~help Telemetry.Registry.default name)
+  Telemetry.Registry.counter ~help Telemetry.Registry.default name
 
 let m_runs = counter "barracuda_repair_runs_total" "Repair engine invocations"
 
@@ -66,7 +64,7 @@ let m_rejected =
   counter "barracuda_repair_candidates_rejected_total"
     "Candidate fixes rejected by validation"
 
-let incr c = Telemetry.Metric.counter_incr (Lazy.force c)
+let incr = Telemetry.Metric.counter_incr
 
 (* ---- the loop ------------------------------------------------------ *)
 
@@ -94,7 +92,6 @@ let repair ?(config = default_config) ~layout
     let vconfig =
       {
         Validate.max_steps = config.max_steps;
-        shards = config.shards;
         fault_trials = config.fault_trials;
         seed = config.seed;
       }

@@ -12,10 +12,9 @@
    2. serial pipeline: completes, reports no race, no *new* barrier
       divergence, and is not degraded;
    3. serial rerun: bitwise-identical verdict (determinism);
-   4. sharded pipeline: verdict parity with the serial run;
-   5. predictive schedule exploration: no race in any feasible
+   4. predictive schedule exploration: no race in any feasible
       reordering of the recorded trace;
-   6. a quick seeded fault-campaign slice: transport drops/duplicates
+   5. a quick seeded fault-campaign slice: transport drops/duplicates
       must not crash the checker, and any race reported without the
       transport's own degraded caveat is treated as real.
 
@@ -26,13 +25,12 @@ module Report = Barracuda.Report
 
 type config = {
   max_steps : int;
-  shards : int;
   fault_trials : int;
   seed : int;
 }
 
 let default_config =
-  { max_steps = 400_000; shards = 2; fault_trials = 2; seed = 42 }
+  { max_steps = 400_000; fault_trials = 2; seed = 42 }
 
 type verdict = Accepted of Ptx.Ast.kernel * string | Rejected of string
 (** [Accepted (reparsed, ptx)] carries the printed artifact and its
@@ -59,7 +57,52 @@ let run_serial ?fault ~config ~layout ~setup kernel =
     ~inst:(Instrument.Pass.instrument ~prune:true ~static:true kernel)
     ~machine kernel args
 
-let rec check ~config ~layout ~setup ~baseline_bardiv kernel =
+let validate_faults ~config ~layout ~setup ~kernel ~ptx =
+  (* 5. quick fault slice: lossy transport must neither crash the
+     checker nor produce an *undegraded* race verdict.  A degraded racy
+     outcome is absorbed — dropping barrier records legitimately
+     manufactures apparent races, and the report carries the caveat. *)
+  let rec trial i =
+    if i > config.fault_trials then Accepted (kernel, ptx)
+    else
+      let plan =
+        Fault.Plan.make
+          {
+            Fault.Plan.none with
+            Fault.Plan.seed = config.seed + i;
+            drop = 0.02;
+            duplicate = 0.03;
+          }
+      in
+      match run_serial ~fault:plan ~config ~layout ~setup kernel with
+      | exception exn ->
+          Rejected
+            (Printf.sprintf "fault trial %d crashed (%s)" i
+               (Printexc.to_string exn))
+      | result ->
+          let report = result.Gpu_runtime.Session.sr_report in
+          if Report.has_race report && not (Report.degraded report) then
+            Rejected
+              (Printf.sprintf "fault trial %d reports an undegraded race" i)
+          else trial (i + 1)
+  in
+  trial 1
+
+let validate_predict ~config ~layout ~setup ~kernel ~ptx =
+  (* 4. schedule exploration *)
+  let machine = Simt.Machine.create ~layout () in
+  let args = setup machine in
+  match Gtrace.Infer.run ~max_steps:config.max_steps ~layout machine kernel args with
+  | exception exn ->
+      Rejected
+        (Printf.sprintf "trace inference crashed (%s)" (Printexc.to_string exn))
+  | ops, _ ->
+      let a = Predict.Analysis.run ~layout ops in
+      if Predict.Analysis.has_race a then
+        Rejected "a feasible schedule still races (predict)"
+      else validate_faults ~config ~layout ~setup ~kernel ~ptx
+
+let check ~config ~layout ~setup ~baseline_bardiv kernel =
   (* 1. roundtrip through the printer and parser *)
   match
     let ptx = Ptx.Printer.kernel_to_string kernel in
@@ -124,79 +167,4 @@ let rec check ~config ~layout ~setup ~baseline_bardiv kernel =
                       Report.has_race report2
                       || bardiv_of result2 <> bardiv_of result
                     then Rejected "validation is nondeterministic"
-                    else validate_sharded ~config ~layout ~setup
-                           ~baseline_bardiv ~kernel ~ptx))))
-
-and validate_sharded ~config ~layout ~setup ~baseline_bardiv ~kernel ~ptx =
-  (* 4. sharded parity *)
-  let machine = Simt.Machine.create ~layout () in
-  let args = setup machine in
-  match
-    let sconfig =
-      { Shard.Pipeline.default_config with shards = max 2 config.shards }
-    in
-    Shard.Pipeline.run_sharded ~config:sconfig ~max_steps:config.max_steps
-      ~machine kernel args
-  with
-  | exception exn ->
-      Rejected
-        (Printf.sprintf "sharded check crashed (%s)" (Printexc.to_string exn))
-  | sresult ->
-      let sreport = sresult.Shard.Pipeline.report in
-      if Report.has_race sreport then
-        Rejected
-          (Printf.sprintf "sharded check disagrees: %s"
-             (race_summary sreport))
-      else if
-        (sresult.Shard.Pipeline.machine_result.Simt.Machine
-         .barrier_divergence
-        || Localize.bardiv_reported sreport)
-        && not baseline_bardiv
-      then Rejected "sharded check sees barrier divergence"
-      else validate_predict ~config ~layout ~setup ~baseline_bardiv ~kernel
-             ~ptx
-
-and validate_predict ~config ~layout ~setup ~baseline_bardiv ~kernel ~ptx =
-  (* 5. schedule exploration *)
-  let machine = Simt.Machine.create ~layout () in
-  let args = setup machine in
-  match Gtrace.Infer.run ~max_steps:config.max_steps ~layout machine kernel args with
-  | exception exn ->
-      Rejected
-        (Printf.sprintf "trace inference crashed (%s)" (Printexc.to_string exn))
-  | ops, _ ->
-      let a = Predict.Analysis.run ~layout ops in
-      if Predict.Analysis.has_race a then
-        Rejected "a feasible schedule still races (predict)"
-      else validate_faults ~config ~layout ~setup ~baseline_bardiv ~kernel ~ptx
-
-and validate_faults ~config ~layout ~setup ~baseline_bardiv:_ ~kernel ~ptx =
-  (* 6. quick fault slice: lossy transport must neither crash the
-     checker nor produce an *undegraded* race verdict.  A degraded racy
-     outcome is absorbed — dropping barrier records legitimately
-     manufactures apparent races, and the report carries the caveat. *)
-  let rec trial i =
-    if i > config.fault_trials then Accepted (kernel, ptx)
-    else
-      let plan =
-        Fault.Plan.make
-          {
-            Fault.Plan.none with
-            Fault.Plan.seed = config.seed + i;
-            drop = 0.02;
-            duplicate = 0.03;
-          }
-      in
-      match run_serial ~fault:plan ~config ~layout ~setup kernel with
-      | exception exn ->
-          Rejected
-            (Printf.sprintf "fault trial %d crashed (%s)" i
-               (Printexc.to_string exn))
-      | result ->
-          let report = result.Gpu_runtime.Session.sr_report in
-          if Report.has_race report && not (Report.degraded report) then
-            Rejected
-              (Printf.sprintf "fault trial %d reports an undegraded race" i)
-          else trial (i + 1)
-  in
-  trial 1
+                    else validate_predict ~config ~layout ~setup ~kernel ~ptx))))

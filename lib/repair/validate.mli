@@ -2,14 +2,12 @@
 
     A fix is accepted only if the printed patch re-parses, passes
     static validation, runs race-free and divergence-free through the
-    serial pipeline (twice — determinism), matches verdicts with the
-    sharded pipeline, shows no race under predictive schedule
+    serial pipeline (twice — determinism), shows no race under predictive schedule
     exploration, and survives a quick seeded fault-campaign slice
     without crashing or producing an undegraded race verdict. *)
 
 type config = {
   max_steps : int;
-  shards : int;  (** shard count for the parity run (min 2) *)
   fault_trials : int;
   seed : int;
 }

@@ -286,21 +286,18 @@ type t = {
 }
 
 let m_launches =
-  lazy
-    (Telemetry.Registry.counter ~help:"Session kernel launches"
-       Telemetry.Registry.default "barracuda_session_launches_total")
+  Telemetry.Registry.counter ~help:"Session kernel launches"
+    Telemetry.Registry.default "barracuda_session_launches_total"
 
 let m_races =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Distinct races reported across session launches"
-       Telemetry.Registry.default "barracuda_session_races_total")
+  Telemetry.Registry.counter
+    ~help:"Distinct races reported across session launches"
+    Telemetry.Registry.default "barracuda_session_races_total"
 
 let m_records =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Records shipped across session launches"
-       Telemetry.Registry.default "barracuda_session_records_total")
+  Telemetry.Registry.counter
+    ~help:"Records shipped across session launches"
+    Telemetry.Registry.default "barracuda_session_records_total"
 
 let create ?(detector = Barracuda.Detector.default_config) ~layout () =
   {
@@ -331,9 +328,9 @@ let launch ?max_steps t kernel args =
   let report = result.sr_report in
   let races = Barracuda.Report.race_count report in
   let records = result.sr_records in
-  Telemetry.Metric.counter_incr (Lazy.force m_launches);
-  Telemetry.Metric.counter_add (Lazy.force m_races) races;
-  Telemetry.Metric.counter_add (Lazy.force m_records) records;
+  Telemetry.Metric.counter_incr m_launches;
+  Telemetry.Metric.counter_add m_races races;
+  Telemetry.Metric.counter_add m_records records;
   t.launches <- t.launches + 1;
   t.reports <- (kernel.Ptx.Ast.kname, report) :: t.reports;
   t.rollups <-
@@ -361,56 +358,51 @@ let total_races t =
 
 (* ---- streaming sessions ------------------------------------------ *)
 
-(* Session gauges live in the default registry; the open count is an
-   atomic because sessions open/close from service seat domains. *)
+(* Session gauges live in the default registry, registered at module
+   initialisation (not as [lazy] values, which two seat domains could
+   race to force); the open count is an atomic because sessions
+   open/close from service seat domains. *)
 let open_count = Atomic.make 0
 
 let g_open =
-  lazy
-    (Telemetry.Registry.gauge ~help:"Streaming sessions currently open"
-       Telemetry.Registry.default "barracuda_session_open_streams")
+  Telemetry.Registry.gauge ~help:"Streaming sessions currently open"
+    Telemetry.Registry.default "barracuda_session_open_streams"
 
 let g_rate =
-  lazy
-    (Telemetry.Registry.gauge
-       ~help:
-         "Accepted records per second of the most recently \
-          checkpointed/closed streaming session"
-       Telemetry.Registry.default "barracuda_session_records_per_sec")
+  Telemetry.Registry.gauge
+    ~help:
+      "Accepted records per second of the most recently \
+       checkpointed/closed streaming session"
+    Telemetry.Registry.default "barracuda_session_records_per_sec"
 
 let c_stream_records =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Records accepted across streaming sessions"
-       Telemetry.Registry.default "barracuda_session_stream_records_total")
+  Telemetry.Registry.counter
+    ~help:"Records accepted across streaming sessions"
+    Telemetry.Registry.default "barracuda_session_stream_records_total"
 
 let h_checkpoint =
-  lazy
-    (Telemetry.Registry.histogram
-       ~help:"Streaming-session checkpoint latency (ms)"
-       ~bounds:[| 0.01; 0.05; 0.1; 0.5; 1.; 5.; 10.; 50.; 100. |]
-       Telemetry.Registry.default "barracuda_session_checkpoint_ms")
+  Telemetry.Registry.histogram
+    ~help:"Streaming-session checkpoint latency (ms)"
+    ~bounds:[| 0.01; 0.05; 0.1; 0.5; 1.; 5.; 10.; 50.; 100. |]
+    Telemetry.Registry.default "barracuda_session_checkpoint_ms"
 
 (* The same global transport-integrity counters the detector's own
    validation feeds (the registry dedupes by name): session-level
    validation of externally fed records is the same transport layer. *)
 let c_int_corrupt =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Wire records dropped: magic/version/checksum validation failed"
-       Telemetry.Registry.default "barracuda_transport_integrity_corrupt_total")
+  Telemetry.Registry.counter
+    ~help:"Wire records dropped: magic/version/checksum validation failed"
+    Telemetry.Registry.default "barracuda_transport_integrity_corrupt_total"
 
 let c_int_gap =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Wire records lost between consecutive sequence numbers"
-       Telemetry.Registry.default "barracuda_transport_integrity_gap_total")
+  Telemetry.Registry.counter
+    ~help:"Wire records lost between consecutive sequence numbers"
+    Telemetry.Registry.default "barracuda_transport_integrity_gap_total"
 
 let c_int_stale =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Wire records dropped: duplicate or out-of-date sequence"
-       Telemetry.Registry.default "barracuda_transport_integrity_stale_total")
+  Telemetry.Registry.counter
+    ~help:"Wire records dropped: duplicate or out-of-date sequence"
+    Telemetry.Registry.default "barracuda_transport_integrity_stale_total"
 
 type progress = {
   p_records : int;
@@ -446,7 +438,7 @@ let open_stream ?sink ?(detector = Barracuda.Detector.default_config) ~layout
     | None -> serial_sink ~config:detector ~layout kernel
   in
   let n = 1 + Atomic.fetch_and_add open_count 1 in
-  Telemetry.Metric.gauge_set (Lazy.force g_open) n;
+  Telemetry.Metric.gauge_set g_open n;
   {
     st_sink = sink;
     st_roles = Gtrace.Roles.classify kernel;
@@ -481,31 +473,31 @@ let is_sync_record st buf ~pos =
 (* Validate one reassembled cell, mirroring the detector's transport
    tracking (checksum first, then sequence continuity), and re-seal
    accepted records through the sink so the backend always sees a
-   contiguous intact stream — crucial for shard broadcast, whose
-   reseal would otherwise mask client-side corruption. *)
+   contiguous intact stream — a backend that reseals would otherwise
+   mask client-side corruption. *)
 let ingest_cell st ~buf ~pos ~values =
   match Wire.check buf ~pos with
   | Wire.Bad_magic | Wire.Bad_version | Wire.Bad_checksum ->
       st.st_corrupt <- st.st_corrupt + 1;
-      Telemetry.Metric.counter_incr (Lazy.force c_int_corrupt)
+      Telemetry.Metric.counter_incr c_int_corrupt
   | Wire.Intact ->
       let seq = Wire.View.seq buf ~pos in
       if seq < st.st_expected_seq then begin
         st.st_stale <- st.st_stale + 1;
-        Telemetry.Metric.counter_incr (Lazy.force c_int_stale)
+        Telemetry.Metric.counter_incr c_int_stale
       end
       else begin
         if seq > st.st_expected_seq then begin
           let lost = seq - st.st_expected_seq in
           st.st_gaps <- st.st_gaps + lost;
-          Telemetry.Metric.counter_add (Lazy.force c_int_gap) lost
+          Telemetry.Metric.counter_add c_int_gap lost
         end;
         st.st_expected_seq <- seq + 1;
         let sync = is_sync_record st buf ~pos in
         Bytes.blit buf pos st.st_sink.stage 0 Wire.size;
         st.st_sink.submit ~values ~sync;
         st.st_records <- st.st_records + 1;
-        Telemetry.Metric.counter_incr (Lazy.force c_stream_records)
+        Telemetry.Metric.counter_incr c_stream_records
       end
 
 let feed_chunk st ?pos ?len chunk =
@@ -539,7 +531,7 @@ let progress_of ?(final = false) st =
 let note_rate st =
   let el = Telemetry.Clock.ns_to_s (Telemetry.Clock.elapsed_ns ~since:st.st_opened_ns) in
   if el > 0. then
-    Telemetry.Metric.gauge_set (Lazy.force g_rate)
+    Telemetry.Metric.gauge_set g_rate
       (int_of_float (float_of_int st.st_records /. el))
 
 let checkpoint st =
@@ -548,14 +540,14 @@ let checkpoint st =
   st.st_sink.quiesce ();
   let p = progress_of st in
   st.st_checkpoints <- st.st_checkpoints + 1;
-  Telemetry.Metric.histogram_observe (Lazy.force h_checkpoint)
+  Telemetry.Metric.histogram_observe h_checkpoint
     (Telemetry.Clock.ns_to_ms (Telemetry.Clock.elapsed_ns ~since:t0));
   note_rate st;
   { p with p_checkpoints = st.st_checkpoints }
 
 let release_slot () =
   let n = Atomic.fetch_and_add open_count (-1) - 1 in
-  Telemetry.Metric.gauge_set (Lazy.force g_open) (max 0 n)
+  Telemetry.Metric.gauge_set g_open (max 0 n)
 
 let close_stream st =
   if st.st_closed then invalid_arg "Session.close_stream: stream is closed";

@@ -29,11 +29,12 @@
     The serial backend ({!serial_sink}) feeds a single
     {!Barracuda.Detector} in place; the concurrent host
     ([Pipeline.parallel_sink]) hands records to one consumer domain per
-    queue; the sharded backend ([Shard.Stream.sink]) broadcasts into
-    the shard engine's SPSC rings.  Producers serialize a record directly into {!sink.stage}
-    (at offset 0) and call {!sink.submit}, which seals it with the
-    sink's own monotonic sequence number and ingests it — the same
-    zero-copy discipline as the batch pipeline's ring slots. *)
+    queue; the [shard] library's broadcast engine (kept as the
+    benchmark's comparison point) feeds its SPSC rings.  Producers
+    serialize a record directly into {!sink.stage} (at offset 0) and
+    call {!sink.submit}, which seals it with the sink's own monotonic
+    sequence number and ingests it — the same zero-copy discipline as
+    the batch pipeline's ring slots. *)
 
 type sink = {
   stage : Bytes.t;
@@ -45,7 +46,7 @@ type sink = {
   quiesce : unit -> unit;
       (** wait until every record submitted so far is fully detected —
           the epoch-aligned barrier behind checkpoints.  May raise the
-          backend's failure exception (e.g. [Shard_crashed]). *)
+          backend's failure exception. *)
   sink_report : max_reports:int -> Barracuda.Report.t;
       (** verdict over everything detected so far; call only when
           quiesced (or after [finish]) *)
@@ -220,17 +221,15 @@ val feed_chunk : stream -> ?pos:int -> ?len:int -> string -> unit
     @raise Invalid_argument on a closed stream. *)
 
 val checkpoint : stream -> progress
-(** Quiesce the sink (every accepted record fully detected — for the
-    sharded backend this waits for all shard rings to drain, aligning
-    the checkpoint with a broadcast epoch) and return the
+(** Quiesce the sink (every accepted record fully detected) and
+    return the
     verdict-so-far.  Observes the checkpoint-latency histogram
     [barracuda_session_checkpoint_ms] and updates the per-session
     throughput gauge [barracuda_session_records_per_sec]. *)
 
 val close_stream : stream -> progress
 (** Finish the sink and return the final verdict ([p_final = true]).
-    Raises the backend's failure (e.g. [Shard_crashed]) if detection
-    died; the stream is then still open and must be {!abort_stream}ed. *)
+    Raises the backend's failure if detection died; the stream is then still open and must be {!abort_stream}ed. *)
 
 val abort_stream : stream -> unit
 (** Tear down without a verdict; never raises.  Idempotent, and safe

@@ -2,8 +2,6 @@ type config = {
   max_steps : int;
   max_report_strings : int;
   deadline_ms : int;
-  job_shards : int;
-      (* detector domains per check job; 1 = the serial pipeline *)
 }
 
 let default_config =
@@ -11,7 +9,6 @@ let default_config =
     max_steps = 2_000_000;
     max_report_strings = 20;
     deadline_ms = 0;
-    job_shards = 1;
   }
 
 let default_layout =
@@ -55,10 +52,9 @@ let layout_of (s : Protocol.submit) =
       Vclock.Layout.make ~warp_size:warp ~threads_per_block:tpb ~blocks
 
 let m_static_fast =
-  lazy
-    (Telemetry.Registry.counter
-       ~help:"Check jobs answered by the static analysis without execution"
-       Telemetry.Registry.default "barracuda_service_static_fast_total")
+  Telemetry.Registry.counter
+    ~help:"Check jobs answered by the static analysis without execution"
+    Telemetry.Registry.default "barracuda_service_static_fast_total"
 
 let outcome_of_report ?(static = false) ~config ~cache_hit ~detect_ms report =
   let errors =
@@ -113,7 +109,7 @@ let static_result ~config ~cache_hit ~job ~layout entry
     match Static.Analysis.report entry.Cache.analysis ~layout with
     | None -> None
     | Some report ->
-        Telemetry.Metric.counter_incr (Lazy.force m_static_fast);
+        Telemetry.Metric.counter_incr m_static_fast;
         Some
           (Protocol.Result
              {
@@ -168,17 +164,9 @@ let run_check ~config ~cache ~job (s : Protocol.submit) =
   (* One driver for every job: the streaming-session core with the
      cached instrument pass (which already encodes the prune/static
      choices), so a daemon check job and a [Stream_open] session share
-     one producer.  [job_shards > 1] only swaps the sink for the
-     sharded one, with bitwise-identical verdicts. *)
-  let sink =
-    if config.job_shards <= 1 then None
-    else
-      Some
-        (Shard.Stream.sink ~shards:config.job_shards ~layout
-           entry.Cache.kernel)
-  in
+     one producer and one serial detector. *)
   let result =
-    Gpu_runtime.Session.run_stream ?sink ~max_steps:config.max_steps
+    Gpu_runtime.Session.run_stream ~max_steps:config.max_steps
       ?deadline_ns ~inst:entry.Cache.inst ~machine entry.Cache.kernel args
   in
   let status =
@@ -273,7 +261,6 @@ let run_repair ~config ~cache ~job (s : Protocol.submit) =
     {
       Repair.Engine.default_config with
       Repair.Engine.max_steps = config.max_steps;
-      shards = max 2 config.job_shards;
     }
   in
   let t0 = Telemetry.Clock.now_ns () in
@@ -322,20 +309,13 @@ let run_repair ~config ~cache ~job (s : Protocol.submit) =
     }
 
 (* Open a streaming session for a daemon stream job.  Artifacts come
-   from the same source-digest cache as batch checks, and [job_shards]
-   selects the backend exactly as [run_check] does, so a streamed
-   trace's verdict is bitwise the one a batch submission of the same
-   records would produce. *)
-let stream_open ?(config = default_config) ~cache (s : Protocol.submit) =
+   from the same source-digest cache as batch checks and the detector
+   is the serial one [run_check] uses, so a streamed trace's verdict
+   is bitwise the one a batch submission of the same records would
+   produce. *)
+let stream_open ~cache (s : Protocol.submit) =
   let entry, _ = entry_for ~cache s in
-  let layout = layout_of s in
-  if config.job_shards <= 1 then
-    Gpu_runtime.Session.open_stream ~layout entry.Cache.kernel
-  else
-    let sink =
-      Shard.Stream.sink ~shards:config.job_shards ~layout entry.Cache.kernel
-    in
-    Gpu_runtime.Session.open_stream ~sink ~layout entry.Cache.kernel
+  Gpu_runtime.Session.open_stream ~layout:(layout_of s) entry.Cache.kernel
 
 let error_response ~job exn =
   let failed code message = Protocol.Failed { job; code; message } in
@@ -346,10 +326,6 @@ let error_response ~job exn =
       failed "parse_error" (Printf.sprintf "trace line %d: %s" line message)
   | Gpu_runtime.Stream.Framing message ->
       failed "bad_request" (Printf.sprintf "stream framing: %s" message)
-  | Shard.Engine.Shard_crashed i ->
-      (* never degrade to a partial merge: a dead shard domain means
-         the verdict is unrecoverable for this attempt *)
-      failed "shard_crashed" (Printf.sprintf "shard %d consumer domain died" i)
   | Failure message -> failed "bad_request" message
   | Invalid_argument message -> failed "exec_error" message
   | Stack_overflow -> failed "exec_error" "stack overflow"

@@ -2,7 +2,7 @@
 
     A [Check] job parses/instruments via the artifact {!Cache}
     (skipping the front half of the pipeline on a hit), then runs the
-    deployed {!Gpu_runtime.Pipeline} on a fresh machine.  A [Predict]
+    serial {!Gpu_runtime.Session.run_stream} on a fresh machine.  A [Predict]
     job deserializes the trace and runs {!Predict.Analysis}.
 
     {!run} never raises: every failure mode — malformed PTX or trace,
@@ -23,13 +23,6 @@ type config = {
           backstop for kernels that make steady progress (so the step
           budget never trips) but too slowly to be worth waiting for,
           and the bound on how long a hung worker can hold its seat *)
-  job_shards : int;
-      (** detector domains per [Check] job: [1] (the default) runs
-          {!Gpu_runtime.Session.run_stream} with the serial sink; above
-          that, the same driver fans detection out across shard domains
-          ({!Shard.Stream.sink}) with bitwise-identical verdicts.  A shard domain dying
-          mid-job fails the job with code ["shard_crashed"] — never a
-          partial merge *)
 }
 
 val default_config : config
@@ -52,20 +45,18 @@ val run :
     analysis proves racy for the requested layout is answered without
     executing it (outcome flagged [static]). *)
 
-val stream_open :
-  ?config:config -> cache:Cache.t -> Protocol.submit ->
-  Gpu_runtime.Session.stream
+val stream_open : cache:Cache.t -> Protocol.submit -> Gpu_runtime.Session.stream
 (** Open a streaming session for a daemon stream job: artifacts from
-    the same cache as batch checks, backend (serial or [job_shards]
-    shard domains) chosen exactly as {!run} chooses it — streamed and
-    batch verdicts are bitwise identical by construction.  Unlike
+    the same cache as batch checks and the same serial detector as
+    {!run} — streamed and batch verdicts are bitwise identical by
+    construction.  Unlike
     {!run} this {e does} raise (malformed PTX, etc.); callers convert
     with {!error_response}.  Must run on a scheduler session seat, not
     a connection thread. *)
 
 val error_response : job:int -> exn -> Protocol.response
 (** The failure mapping {!run} applies — [parse_error], [bad_request]
-    (including stream framing errors), [shard_crashed], [timeout]…  —
+    (including stream framing errors), [timeout]…  —
     exposed for the daemon's streaming handlers, which manage their
     own exception boundary. *)
 

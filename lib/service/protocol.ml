@@ -55,9 +55,8 @@ type outcome = {
   repair_tried : int;
       (* candidate fixes that entered validation for a repair job *)
   detect_ms : float;
-      (* wall-clock spent inside the race detector for this job: the
-         drain loop for serial checks, the busiest shard domain for
-         sharded ones; 0 for cache-trivial or predict jobs *)
+      (* wall-clock spent inside the race detector for this job; 0 for
+         cache-trivial or predict jobs *)
 }
 
 type tenant_status = {
@@ -766,15 +765,18 @@ let max_frame_bytes = 16 * 1024 * 1024
    (e.g. a killed submit client whose job later completes).  Without
    this, the kernel delivers SIGPIPE — whose default disposition kills
    the whole process — before [Unix.write] can return [EPIPE], so no
-   exception handler ever runs.  Latched once, forced on every write,
-   covering the daemon and the one-shot client binaries alike. *)
-let sigpipe_ignored =
-  lazy
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-     with Invalid_argument _ | Sys_error _ -> ())
+   exception handler ever runs.  Latched on the first write, covering
+   the daemon and the one-shot client binaries alike.  An atomic flag
+   rather than a [lazy]: writes come from many domains at once, and
+   setting the disposition twice is harmless. *)
+let sigpipe_ignored = Atomic.make false
 
 let write_frame fd line =
-  Lazy.force sigpipe_ignored;
+  if not (Atomic.get sigpipe_ignored) then begin
+    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+     with Invalid_argument _ | Sys_error _ -> ());
+    Atomic.set sigpipe_ignored true
+  end;
   let payload = Bytes.of_string (line ^ "\n") in
   let len = Bytes.length payload in
   let sent = ref 0 in

@@ -103,8 +103,8 @@ type outcome = {
   repair_tried : int;
       (** [Repair] only: candidate fixes that entered validation *)
   detect_ms : float;
-      (** wall-clock spent inside the race detector for this job (the
-          busiest shard domain when sharded); 0 for [Predict] *)
+      (** wall-clock spent inside the race detector for this job; 0
+          for [Predict] *)
 }
 
 type tenant_status = {

@@ -7,7 +7,6 @@ type config = {
   job_deadline_ms : int;
   cache_capacity : int;
   read_timeout_s : float;
-  job_shards : int;
   session_seats : int;
   tenant_quotas : (string * Scheduler.quota) list;
 }
@@ -22,18 +21,9 @@ let default_config =
     job_deadline_ms = 30_000;
     cache_capacity = 128;
     read_timeout_s = 30.0;
-    job_shards = 1;
     session_seats = Scheduler.default_config.Scheduler.session_seats;
     tenant_quotas = [];
   }
-
-(* [workers] is the total domain budget.  With intra-job sharding each
-   job seat drives [job_shards] detector domains, so the scheduler gets
-   [workers / job_shards] seats (at least one): the budget is split
-   between inter-job and intra-job parallelism rather than multiplied. *)
-let worker_seats config =
-  if config.job_shards <= 1 then config.workers
-  else max 1 (config.workers / config.job_shards)
 
 type t = {
   config : config;
@@ -63,7 +53,7 @@ let status t =
   {
     Protocol.uptime_ms =
       Int64.to_float (Telemetry.Clock.elapsed_ns ~since:t.started_ns) /. 1e6;
-    workers = worker_seats t.config;
+    workers = t.config.workers;
     busy = Scheduler.busy t.sched;
     queue_depth = Scheduler.depth t.sched;
     queue_capacity = t.config.queue_capacity;
@@ -229,8 +219,7 @@ let handle_connection t fd =
               | Some seat -> (
                   match
                     Scheduler.session_call seat (fun () ->
-                        Exec.stream_open ~config:t.exec_config ~cache:t.cache
-                          sub)
+                        Exec.stream_open ~cache:t.cache sub)
                   with
                   | st ->
                       let sid = Atomic.fetch_and_add t.next_sid 1 in
@@ -260,9 +249,8 @@ let handle_connection t fd =
                          });
                     continue ()
                 | exception exn ->
-                    (* A framing error (or a dead shard) leaves the
-                       session unusable; tear it down and end the
-                       exchange. *)
+                    (* A framing error leaves the session unusable;
+                       tear it down and end the exchange. *)
                     drop_session sid seat st;
                     send (Exec.error_response ~job:sid exn);
                     close ()))
@@ -388,7 +376,6 @@ let start ?(config = default_config) () =
       Exec.default_config with
       Exec.max_steps = config.max_steps;
       deadline_ms = config.job_deadline_ms;
-      job_shards = config.job_shards;
     }
   in
   let sched =
@@ -396,7 +383,7 @@ let start ?(config = default_config) () =
       ~config:
         {
           Scheduler.default_config with
-          Scheduler.workers = worker_seats config;
+          Scheduler.workers = config.workers;
           queue_capacity = config.queue_capacity;
           retry_after_ms = config.retry_after_ms;
           session_seats = config.session_seats;

@@ -37,12 +37,6 @@ type config = {
   read_timeout_s : float;
       (** receive timeout per connection; a client that connects and
           sends nothing is dropped after this long *)
-  job_shards : int;
-      (** detector domains per job ({!Exec.config.job_shards}).  Above
-          [1], the [workers] domain budget is {e split} between jobs
-          and intra-job shards: the scheduler gets
-          [max 1 (workers / job_shards)] seats, each driving
-          [job_shards] shard domains. *)
   session_seats : int;
       (** long-lived streaming-session seats
           ({!Scheduler.config.session_seats}); [0] disables streaming *)
@@ -54,7 +48,7 @@ type config = {
 val default_config : config
 (** Socket [barracuda.sock] in the system temp directory, 2 workers,
     queue 64, 2M-step budget, 30 s job deadline, cache 128, 30 s read
-    timeout, 1 job shard (serial per-job detection), 2 session seats,
+    timeout, 2 session seats,
     no tenant quotas. *)
 
 type t

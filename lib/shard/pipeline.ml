@@ -25,11 +25,26 @@ type result = {
   detect_ns : int64;
 }
 
-(* [Session.run_stream] over the sharded sink.  The engine is built
-   here rather than through [Stream.sink] only to keep the per-shard
-   detectors for stats; [drive]'s abort-on-exception covers a
-   [Shard_crashed] raised from [broadcast], so the consumer domains are
-   always joined before the exception propagates. *)
+(* The engine as a session sink: the staging buffer is the engine's
+   scratch record, so the producer serializes once and broadcasts in
+   place; [quiesce] waits for every shard ring to drain. *)
+let sink_of_engine engine =
+  {
+    Gpu_runtime.Session.stage = Engine.scratch engine;
+    submit = (fun ~values ~sync -> Engine.broadcast engine ~values ~sync);
+    quiesce = (fun () -> Engine.quiesce engine);
+    sink_report = (fun ~max_reports -> Engine.report engine ~max_reports);
+    finish = (fun () -> Engine.finish engine);
+    abort = (fun () -> Engine.abort engine);
+    detect_ns = (fun () -> Engine.detect_ns engine);
+    sink_records = (fun () -> Engine.records engine);
+  }
+
+(* [Session.run_stream] over the sharded sink; the engine is kept to
+   expose the per-shard detectors for stats.  [drive]'s
+   abort-on-exception covers a [Shard_crashed] raised from
+   [broadcast], so the consumer domains are always joined before the
+   exception propagates. *)
 let run_sharded ?(config = default_config) ?max_steps ?deadline_ns ?inst
     ~machine kernel args =
   let inst =
@@ -45,7 +60,7 @@ let run_sharded ?(config = default_config) ?max_steps ?deadline_ns ?inst
       ~shards:config.shards kernel
   in
   let r =
-    Gpu_runtime.Session.run_stream ~sink:(Stream.sink_of_engine engine)
+    Gpu_runtime.Session.run_stream ~sink:(sink_of_engine engine)
       ~detector:config.detector ?max_steps ?deadline_ns ?fault:config.fault
       ~inst ~machine kernel args
   in

@@ -1,10 +1,15 @@
 (** Sharded end-to-end detection: [Gpu_runtime.Session.run_stream]
-    with the sharded sink ({!Stream.sink_of_engine}), which broadcasts
-    each record to every shard's ring ({!Engine}).  The producer is the
-    session core's, so instrumentation, origin remapping and wire
-    serialization are the serial check's.  Verdicts are
-    bitwise-identical to the serial sink on every trace, at every shard
-    count; the test suite enforces this over the whole bug suite. *)
+    with a sink that broadcasts each record to every shard's ring
+    ({!Engine}).  The producer is the session core's, so
+    instrumentation, origin remapping and wire serialization are the
+    serial check's.  Verdicts are bitwise-identical to the serial sink
+    on every trace, at every shard count; the test suite enforces this
+    over the whole bug suite.
+
+    No product path uses this module: every command, the daemon,
+    repair and the fault campaign detect serially.  It stays as the
+    benchmark's shard gate (serial against 2 shards) and for its own
+    parity and crash tests. *)
 
 type config = {
   shards : int;

@@ -1,8 +1,8 @@
 (* Flag invariance of [barracuda check]: every flag only adds a hook to
-   [Session.run_stream] or picks its sink, so the race set must be
-   bitwise the same under each of them, on every bug-suite case.  Also
-   the input the wire format cannot carry (warps wider than a record),
-   rejected on every path. *)
+   [Session.run_stream], so the race set must be bitwise the same under
+   each of them, on every bug-suite case.  Also the inputs [check]
+   refuses with exit 2: warps wider than a wire record, and argument
+   specs that cannot name a buffer or a value. *)
 
 module Report = Barracuda.Report
 module Session = Gpu_runtime.Session
@@ -32,18 +32,13 @@ let race_set report =
 
 let detector = { Barracuda.Detector.default_config with max_reports = 100000 }
 
-(* What [check] runs for one flag: the original kernel, the default
-   serial sink unless [--shards] picks the sharded one. *)
-let check_with ?sink ?tee ?capture (c : Bugsuite.Case.t) =
-  let layout = c.Bugsuite.Case.layout in
-  let machine = Simt.Machine.create ~layout () in
+(* What [check] runs for one flag: the original kernel through the
+   serial sink. *)
+let check_with ?tee ?capture (c : Bugsuite.Case.t) =
+  let machine = Simt.Machine.create ~layout:c.Bugsuite.Case.layout () in
   let args = c.Bugsuite.Case.setup machine in
-  let sink = Option.map (fun f -> f layout c.Bugsuite.Case.kernel) sink in
-  Session.run_stream ?sink ~detector ?tee ?capture ~machine
-    c.Bugsuite.Case.kernel args
-
-let sharded layout kernel =
-  Shard.Stream.sink ~config:detector ~layout ~shards:2 kernel
+  Session.run_stream ~detector ?tee ?capture ~machine c.Bugsuite.Case.kernel
+    args
 
 let with_telemetry f =
   Telemetry.Registry.set_enabled true;
@@ -68,7 +63,6 @@ let test_flag_invariance () =
       same "--dump-trace"
         (check_with ~tee:(fun ev -> ignore (Gtrace.Infer.feed infer ev)) c);
       same "--metrics" (with_telemetry (fun () -> check_with c));
-      same "--shards 2" (check_with ~sink:sharded c);
       same "--record" (check_with ~capture:(Buffer.create 4096) c))
     Bugsuite.Cases.all
 
@@ -87,38 +81,7 @@ let test_known_verdicts () =
   Alcotest.(check int) "... also under telemetry" 0
     (with_telemetry (fun () -> races trc));
   let lmf = case "lock_missing_acquire_fence" in
-  Alcotest.(check int) "lock_missing_acquire_fence: 8 races" 8 (races lmf);
-  Alcotest.(check int) "... also sharded" 8
-    (Report.race_count (check_with ~sink:sharded lmf).Session.sr_report)
-
-(* A recording made under [--shards 2] is a valid stream: replayed
-   through a serial streaming session it gives the same race set. *)
-let test_sharded_recording_replays () =
-  List.iter
-    (fun name ->
-      let c =
-        List.find
-          (fun (c : Bugsuite.Case.t) -> c.Bugsuite.Case.name = name)
-          Bugsuite.Cases.all
-      in
-      let buf = Buffer.create 4096 in
-      let r = check_with ~sink:sharded ~capture:buf c in
-      let st =
-        Session.open_stream ~detector ~layout:c.Bugsuite.Case.layout
-          c.Bugsuite.Case.kernel
-      in
-      Session.feed_chunk st (Buffer.contents buf);
-      let p = Session.close_stream st in
-      Alcotest.(check int) (name ^ ": every record replayed")
-        r.Session.sr_records p.Session.p_records;
-      Alcotest.(check bool) (name ^ ": replay is intact") false
-        p.Session.p_degraded;
-      let replayed =
-        Report.race_count r.Session.sr_report = p.Session.p_race_count
-      in
-      Alcotest.(check bool) (name ^ ": same race count") true replayed)
-    [ "lock_missing_acquire_fence"; "transitive_release_chain";
-      "rw_shared_inter_warp" ]
+  Alcotest.(check int) "lock_missing_acquire_fence: 8 races" 8 (races lmf)
 
 (* ---- warps wider than a wire record ------------------------------ *)
 
@@ -145,28 +108,55 @@ let test_wide_warp_rejected () =
       Alcotest.(check bool) ("names the limit: " ^ msg) true
         (contains msg "32")
 
-let test_wide_warp_cli () =
+(* Run the built [barracuda check] on [kernel] under each flag string
+   in turn; [f] gets the exit code and stderr of each run. *)
+let with_cli_check kernel f =
   let exe =
     Filename.concat
       (Filename.dirname Sys.executable_name)
       "../bin/barracuda_cli.exe"
   in
-  let ptx = Filename.temp_file "barracuda-wide" ".ptx" in
+  let ptx = Filename.temp_file "barracuda-cli" ".ptx" in
+  let err = Filename.temp_file "barracuda-cli" ".err" in
   Fun.protect
-    ~finally:(fun () -> Sys.remove ptx)
+    ~finally:(fun () -> Sys.remove ptx; Sys.remove err)
     (fun () ->
       let oc = open_out ptx in
-      output_string oc (Ptx.Printer.kernel_to_string (racy_kernel ()));
+      output_string oc (Ptx.Printer.kernel_to_string kernel);
       close_out oc;
-      let run flags =
-        Sys.command
-          (Printf.sprintf "%s check %s %s >/dev/null 2>&1" (Filename.quote exe)
-             flags (Filename.quote ptx))
-      in
+      f (fun flags ->
+          let code =
+            Sys.command
+              (Printf.sprintf "%s check %s %s >/dev/null 2>%s"
+                 (Filename.quote exe) flags (Filename.quote ptx)
+                 (Filename.quote err))
+          in
+          (code, In_channel.with_open_text err In_channel.input_all)))
+
+let test_wide_warp_cli () =
+  with_cli_check (racy_kernel ()) (fun run ->
       Alcotest.(check int) "a racy kernel exits 1 at warp 32" 1
-        (run "--warp 32 --tpb 64 --blocks 2");
+        (fst (run "--warp 32 --tpb 64 --blocks 2"));
       Alcotest.(check int) "warp 48 exits 2 (bad input)" 2
-        (run "--warp 48 --tpb 96 --blocks 2"))
+        (fst (run "--warp 48 --tpb 96 --blocks 2")))
+
+(* [check] shares the daemon's argument parser: a negative size would
+   overlap the next buffer (spurious races), and a non-number is not a
+   size at all, so both are bad input. *)
+let test_bad_arg_spec_cli () =
+  let kernel = Gen.kernel_of_program [ Gen.Store_own_slot ] in
+  with_cli_check kernel (fun run ->
+      Alcotest.(check int) "a race-free kernel exits 0" 0
+        (fst (run "--arg alloc:4096"));
+      List.iter
+        (fun spec ->
+          let code, err = run ("--arg " ^ spec) in
+          Alcotest.(check int) (spec ^ " exits 2") 2 code;
+          Alcotest.(check bool)
+            (spec ^ " is named: " ^ err)
+            true
+            (contains err (Printf.sprintf "bad argument spec %S" spec)))
+        [ "alloc:-8"; "alloc:abc"; "int:x" ])
 
 let suite =
   [
@@ -174,9 +164,9 @@ let suite =
       `Quick test_flag_invariance;
     Alcotest.test_case "known verdicts hold under every flag" `Quick
       test_known_verdicts;
-    Alcotest.test_case "sharded recording replays to the same races" `Quick
-      test_sharded_recording_replays;
     Alcotest.test_case "wide warps rejected by the detector" `Quick
       test_wide_warp_rejected;
     Alcotest.test_case "wide warps: check exits 2" `Quick test_wide_warp_cli;
+    Alcotest.test_case "bad argument specs: check exits 2" `Quick
+      test_bad_arg_spec_cli;
   ]

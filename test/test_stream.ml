@@ -1,15 +1,14 @@
 (* The streaming-session core (lib/runtime/session + lib/runtime/stream):
    the load-bearing claim is chunk invariance — feeding a recorded wire
    stream through a session in ANY chunking (1-byte, mid-record,
-   straddling barrier epochs) yields bitwise the batch race set, on the
-   serial backend and on the sharded one.  Plus the stream file codec,
+   straddling barrier epochs) yields bitwise the batch race set.  Plus the stream file codec,
    the op-plane lifecycle, and the scheduler's session seats. *)
 
 module Report = Barracuda.Report
 module Session = Gpu_runtime.Session
 module Stream = Gpu_runtime.Stream
 
-(* ---- race-set extraction (as in test_shard) ---------------------- *)
+(* ---- race-set extraction ----------------------------------------- *)
 
 type race_key = {
   loc : Gtrace.Loc.t;
@@ -57,15 +56,9 @@ let oneshot ~layout kernel args_of_machine =
 
 (* Replay [bytes] through a streaming session, cutting chunks by the
    (cyclic, positive) sizes in [cuts], checkpointing every
-   [checkpoint_every] chunks.  [shards = 0] is the serial backend. *)
-let streamed ~layout ~shards ~cuts ~checkpoint_every kernel bytes =
-  let sink =
-    if shards = 0 then None
-    else
-      Some
-        (Shard.Stream.sink ~config:detector_config ~layout ~shards kernel)
-  in
-  let st = Session.open_stream ?sink ~detector:detector_config ~layout kernel in
+   [checkpoint_every] chunks. *)
+let streamed ~layout ~cuts ~checkpoint_every kernel bytes =
+  let st = Session.open_stream ~detector:detector_config ~layout kernel in
   match
     let total = String.length bytes in
     let ncuts = Array.length cuts in
@@ -114,29 +107,18 @@ let print_case (prog, (cuts, ce)) =
 let prop_chunk_invariance =
   QCheck2.Test.make
     ~name:
-      "any chunking of a recorded stream reproduces the batch race set \
-       (serial and 4 shards)"
+      "any chunking of a recorded stream reproduces the batch race set"
     ~count:60 ~print:print_case gen_case
     (fun (prog, (cuts, checkpoint_every)) ->
       let kernel = Gen.kernel_of_program prog in
       let layout = Gen.layout in
       let expected, records, bytes = oneshot ~layout kernel Gen.setup in
-      let serial =
-        streamed ~layout ~shards:0 ~cuts ~checkpoint_every kernel bytes
-      in
-      let sharded =
-        streamed ~layout ~shards:4 ~cuts ~checkpoint_every kernel bytes
-      in
-      if serial <> (expected, records) then
+      let got = streamed ~layout ~cuts ~checkpoint_every kernel bytes in
+      if got <> (expected, records) then
         QCheck2.Test.fail_reportf
-          "serial stream diverged: %d races / %d records, one-shot %d / %d"
-          (List.length (fst serial))
-          (snd serial) (List.length expected) records;
-      if sharded <> (expected, records) then
-        QCheck2.Test.fail_reportf
-          "4-shard stream diverged: %d races / %d records, one-shot %d / %d"
-          (List.length (fst sharded))
-          (snd sharded) (List.length expected) records;
+          "stream diverged: %d races / %d records, one-shot %d / %d"
+          (List.length (fst got))
+          (snd got) (List.length expected) records;
       true)
 
 (* ---- fixed awkward chunkings over a real racy case --------------- *)
@@ -155,16 +137,11 @@ let test_awkward_chunk_sizes () =
   Alcotest.(check bool) "the case actually races" true (expected <> []);
   List.iter
     (fun size ->
-      List.iter
-        (fun shards ->
-          let got =
-            streamed ~layout ~shards ~cuts:[| size |] ~checkpoint_every:3
-              kernel bytes
-          in
-          if got <> (expected, records) then
-            Alcotest.failf "chunk=%d shards=%d: diverged from one-shot" size
-              shards)
-        [ 0; 4 ])
+      let got =
+        streamed ~layout ~cuts:[| size |] ~checkpoint_every:3 kernel bytes
+      in
+      if got <> (expected, records) then
+        Alcotest.failf "chunk=%d: diverged from one-shot" size)
     [ 1; 7; Barracuda.Wire.size - 1; Barracuda.Wire.size;
       Stream.max_cell_size + 1 ]
 
@@ -178,17 +155,54 @@ let test_bugsuite_streaming_parity () =
       let expected, records, bytes =
         oneshot ~layout kernel c.Bugsuite.Case.setup
       in
-      List.iter
-        (fun shards ->
-          let got =
-            streamed ~layout ~shards ~cuts:[| 997 |] ~checkpoint_every:4
-              kernel bytes
-          in
-          if got <> (expected, records) then
-            Alcotest.failf "%s @ %d shards: streamed race set differs"
-              c.Bugsuite.Case.name shards)
-        [ 0; 4 ])
+      let got =
+        streamed ~layout ~cuts:[| 997 |] ~checkpoint_every:4 kernel bytes
+      in
+      if got <> (expected, records) then
+        Alcotest.failf "%s: streamed race set differs" c.Bugsuite.Case.name)
     Bugsuite.Cases.all
+
+(* ---- streams from concurrent domains ----------------------------- *)
+
+(* Daemon seat domains open, checkpoint and close sessions at the same
+   time; the session telemetry they all update (open-stream gauge,
+   checkpoint histogram, record counters) must neither crash nor lose
+   count, and each stream's verdict must stay its own. *)
+let test_concurrent_domains () =
+  let c =
+    List.find
+      (fun (c : Bugsuite.Case.t) ->
+        c.Bugsuite.Case.verdict <> Bugsuite.Case.Race_free)
+      Bugsuite.Cases.all
+  in
+  let layout = c.Bugsuite.Case.layout in
+  let kernel = c.Bugsuite.Case.kernel in
+  let expected, records, bytes =
+    oneshot ~layout kernel c.Bugsuite.Case.setup
+  in
+  let was_enabled = Telemetry.Registry.enabled () in
+  Telemetry.Registry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.Registry.set_enabled was_enabled)
+  @@ fun () ->
+  let rounds = 5 in
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            List.init rounds (fun _ ->
+                streamed ~layout ~cuts:[| 997 |] ~checkpoint_every:1 kernel
+                  bytes)))
+  in
+  List.iteri
+    (fun d results ->
+      List.iter
+        (fun got ->
+          if got <> (expected, records) then
+            Alcotest.failf "domain %d: streamed race set differs" d)
+        results)
+    (List.map Domain.join domains);
+  Alcotest.(check int) "every stream closed" 0
+    (Telemetry.Registry.find_gauge Telemetry.Registry.default
+       "barracuda_session_open_streams")
 
 (* ---- integrity: corruption is absorbed and surfaced -------------- *)
 
@@ -242,7 +256,7 @@ let test_stream_file_roundtrip () =
       Alcotest.(check int) "cell bytes survive" (String.length bytes)
         (String.length cells);
       let got =
-        streamed ~layout:layout' ~shards:0 ~cuts:[| 512 |] ~checkpoint_every:0
+        streamed ~layout:layout' ~cuts:[| 512 |] ~checkpoint_every:0
           kernel cells
       in
       Alcotest.(check bool) "replay matches the recording run" true
@@ -366,10 +380,12 @@ let test_stop_zeroes_all_gauges () =
 let suite =
   [
     Gen.to_alcotest prop_chunk_invariance;
-    Alcotest.test_case "awkward chunk sizes, serial and sharded" `Quick
+    Alcotest.test_case "awkward chunk sizes" `Quick
       test_awkward_chunk_sizes;
-    Alcotest.test_case "bugsuite streaming parity (serial + 4 shards)" `Quick
+    Alcotest.test_case "bugsuite streaming parity" `Quick
       test_bugsuite_streaming_parity;
+    Alcotest.test_case "streams from four domains at once" `Quick
+      test_concurrent_domains;
     Alcotest.test_case "corrupt record absorbed and counted" `Quick
       test_corrupt_record_counted;
     Alcotest.test_case "framing corruption raises" `Quick test_framing_is_loud;
