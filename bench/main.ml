@@ -112,15 +112,21 @@ let section_figure4 () =
 (* ------------------------------------------------------------------ *)
 (* Table 1: the 26 workloads                                           *)
 
+(* The plain [check] path on a workload: full logging, serial sink. *)
+let check ?detector (w : W.t) =
+  let m = W.machine w in
+  let args = w.W.setup m in
+  Gpu_runtime.Session.run_stream ?detector ~machine:m w.W.kernel args
+
 let section_table1 () =
   header "Table 1: benchmarks (scaled grids; paper values in parens)";
   Printf.printf "  %-18s %-9s %7s %9s %11s  %s\n" "benchmark" "suite" "insns"
     "threads" "global KiB" "races found";
   List.iter
     (fun (w : W.t) ->
-      let det, _ = W.run_detector w in
-      let report = Barracuda.Detector.report det in
-      let shared, global = W.racy_word_counts report in
+      let shared, global =
+        W.racy_word_counts (check w).Gpu_runtime.Session.sr_report
+      in
       let races =
         match (shared, global) with
         | 0, 0 -> "-"
@@ -196,8 +202,7 @@ let section_ptvc () =
   let tc = ref 0 and td = ref 0 and tn = ref 0 and ts = ref 0 in
   List.iter
     (fun (w : W.t) ->
-      let det, _ = W.run_detector w in
-      let s = Barracuda.Detector.stats det in
+      let s = (check w).Gpu_runtime.Session.sr_stats in
       tc := !tc + s.Barracuda.Detector.ptvc_converged;
       td := !td + s.Barracuda.Detector.ptvc_diverged;
       tn := !tn + s.Barracuda.Detector.ptvc_nested;
@@ -285,13 +290,10 @@ let section_granularity () =
     (fun name ->
       let w = Workloads.Registry.find name in
       let run g () =
-        let m = W.machine w in
-        let args = w.W.setup m in
-        let config =
+        let detector =
           { Barracuda.Detector.default_config with shadow_granularity = g }
         in
-        let det, _ = Barracuda.Detector.run ~config ~machine:m w.W.kernel args in
-        Barracuda.Detector.stats det
+        (check ~detector w).Gpu_runtime.Session.sr_stats
       in
       let t1, s1 = time_keeping (run 1) in
       let t4, s4 = time_keeping (run 4) in
@@ -346,12 +348,11 @@ let section_scaling () =
         let m = Simt.Machine.create ~layout () in
         let t_in = Simt.Machine.alloc_global m (4 * n) in
         let t_out = Simt.Machine.alloc_global m (4 * n) in
-        Barracuda.Detector.run ~machine:m kernel
+        Gpu_runtime.Session.run_stream ~machine:m kernel
           [| Int64.of_int t_in; Int64.of_int t_out |]
       in
       let dt = time_it (fun () -> ignore (run ())) in
-      let det, _ = run () in
-      let s = Barracuda.Detector.stats det in
+      let s = (run ()).Gpu_runtime.Session.sr_stats in
       Printf.printf "  %8d %10.1f %12d %12d %16d %8.0fx\n" n (1000.0 *. dt)
         s.Barracuda.Detector.records_processed s.Barracuda.Detector.ptvc_bytes
         s.Barracuda.Detector.full_vc_bytes

@@ -344,23 +344,28 @@ let profile_cmd =
       $ metrics_term $ prom)
 
 let load_trace file =
-  let loaded = Gpu_runtime.Replay.load_file file in
-  (match Gpu_runtime.Replay.feasibility loaded with
+  let layout, ops =
+    let ic = open_in file in
+    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
+        Gtrace.Serialize.of_channel ic)
+  in
+  (match Gtrace.Feasible.check ~layout ops with
   | Ok () -> ()
   | Error v ->
       Format.printf "warning: trace is not feasible: %a@."
         Gtrace.Feasible.pp_violation v);
-  loaded
+  (layout, ops)
 
 let replay_cmd =
   let run file =
     guard @@ fun () ->
-    let loaded = load_trace file in
-    let report = Gpu_runtime.Replay.run loaded in
+    let layout, ops = load_trace file in
+    let d = Barracuda.Reference.create ~layout () in
+    Barracuda.Reference.run d ops;
+    let report = Barracuda.Reference.report d in
     let errors = Barracuda.Report.errors report in
-    Format.printf "%d operations replayed on %a@."
-      (List.length loaded.Gpu_runtime.Replay.ops)
-      Vclock.Layout.pp loaded.Gpu_runtime.Replay.layout;
+    Format.printf "%d operations replayed on %a@." (List.length ops)
+      Vclock.Layout.pp layout;
     if errors = [] then begin
       Format.printf "no races detected.@.";
       0
@@ -384,7 +389,7 @@ let predict_cmd =
         Telemetry.Registry.set_enabled true;
         Telemetry.Registry.reset Telemetry.Registry.default
     | None -> ());
-    let loaded = load_trace file in
+    let layout, ops = load_trace file in
     let config =
       {
         Predict.Analysis.default_config with
@@ -392,10 +397,7 @@ let predict_cmd =
         validate = not no_validate;
       }
     in
-    let a =
-      Predict.Analysis.run ~config ~layout:loaded.Gpu_runtime.Replay.layout
-        loaded.Gpu_runtime.Replay.ops
-    in
+    let a = Predict.Analysis.run ~config ~layout ops in
     if json then
       print_endline (Telemetry.Json.to_string (Predict.Analysis.to_json a))
     else Format.printf "@[<v>%a@]@." Predict.Analysis.pp a;
@@ -412,9 +414,7 @@ let predict_cmd =
                   Filename.concat dir (Printf.sprintf "witness-%d.trace" (i + 1))
                 in
                 let oc = open_out path in
-                Gtrace.Serialize.to_channel
-                  ~layout:loaded.Gpu_runtime.Replay.layout oc
-                  w.Predict.Witness.ops;
+                Gtrace.Serialize.to_channel ~layout oc w.Predict.Witness.ops;
                 close_out oc;
                 if not json then
                   Format.printf "witness for #%d written to %s@." (i + 1) path)
@@ -965,9 +965,9 @@ let sweep_cmd =
     guard @@ fun () ->
     let kernel = load_kernel file in
     let setup machine = Service.Exec.resolve_args machine kernel specs in
-    let result = Barracuda.Warp_sweep.sweep ~layout ~setup kernel in
-    Format.printf "%a" Barracuda.Warp_sweep.pp result;
-    if result.Barracuda.Warp_sweep.latent then 1 else 0
+    let result = Gpu_runtime.Warp_sweep.sweep ~layout ~setup kernel in
+    Format.printf "%a" Gpu_runtime.Warp_sweep.pp result;
+    if result.Gpu_runtime.Warp_sweep.latent then 1 else 0
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -980,8 +980,13 @@ let table1_cmd =
   let run () =
     List.iter
       (fun (w : Workloads.Workload.t) ->
-        let det, _ = Workloads.Workload.run_detector w in
-        let report = Barracuda.Detector.report det in
+        let machine = Workloads.Workload.machine w in
+        let args = w.Workloads.Workload.setup machine in
+        let report =
+          (Gpu_runtime.Session.run_stream ~machine w.Workloads.Workload.kernel
+             args)
+            .Gpu_runtime.Session.sr_report
+        in
         let s, g = Workloads.Workload.racy_word_counts report in
         Format.printf "%-18s %-9s threads=%-6d shared-races=%-4d global-races=%d@."
           w.Workloads.Workload.name w.Workloads.Workload.suite

@@ -1,14 +1,15 @@
-(* Iterative BFS across kernel launches (a multi-launch Session).
+(* Iterative BFS across kernel launches.
 
      dune exec examples/bfs_iterative.exe
 
    Real BFS codes launch their frontier-expansion kernel once per level
    with the host checking a done-flag in between — the lifecycle
-   BARRACUDA's runtime has to live through (§4.1).  Each launch is
-   instrumented, queued and race-checked; device memory persists across
-   launches; launches are serialized so levels never race with one
-   another.  The graph is a binary tree, so within a level every child
-   has a unique parent and the kernel is race-free. *)
+   BARRACUDA's runtime has to live through (§4.1).  Each launch is one
+   [Session.run_stream] on the same persistent machine, so device memory
+   carries over while every launch is race-checked with fresh clocks;
+   launches are serialized so levels never race with one another.  The
+   graph is a binary tree, so within a level every child has a unique
+   parent and the kernel is race-free. *)
 
 module Ast = Ptx.Ast
 module B = Ptx.Builder
@@ -53,8 +54,7 @@ let level_kernel =
   B.finish b
 
 let () =
-  let s = Session.create ~layout () in
-  let m = Session.machine s in
+  let m = Simt.Machine.create ~layout () in
   let alloc n = Simt.Machine.alloc_global m (4 * n) in
   let frontier = alloc nodes and next = alloc nodes in
   let cost = alloc nodes and more = alloc 1 in
@@ -63,10 +63,11 @@ let () =
   let continue_ = ref true in
   (* the host loop: launch, read the flag, swap frontiers *)
   let frontier = ref frontier and next = ref next in
+  let reports = ref [] in
   while !continue_ && !level < 32 do
     Simt.Machine.poke m ~addr:more ~width:4 0L;
     let result =
-      Session.launch s level_kernel
+      Session.run_stream ~machine:m level_kernel
         [|
           Int64.of_int !frontier; Int64.of_int !next; Int64.of_int cost;
           Int64.of_int more;
@@ -74,21 +75,23 @@ let () =
     in
     assert (result.Session.sr_machine_result.Simt.Machine.status
             = Simt.Machine.Completed);
+    reports := result.Session.sr_report :: !reports;
     continue_ := Simt.Machine.peek m ~addr:more ~width:4 <> 0L;
     let f = !frontier in
     frontier := !next;
     next := f;
     incr level
   done;
+  let reports = List.rev !reports in
   Format.printf "BFS finished after %d levels (%d launches checked)@.@."
-    !level (Session.launches s);
+    !level (List.length reports);
   List.iteri
-    (fun i (name, report) ->
-      Format.printf "launch %2d (%s): %s@." i name
+    (fun i report ->
+      Format.printf "launch %2d (%s): %s@." i level_kernel.Ast.kname
         (if Barracuda.Report.has_race report then "RACES" else "race-free"))
-    (Session.reports s);
+    reports;
   Format.printf "@.total races across the whole run: %d@."
-    (Session.total_races s);
+    (List.fold_left (fun acc r -> acc + Barracuda.Report.race_count r) 0 reports);
   (* spot-check the computed costs: node n is at depth floor(log2(n+1)) *)
   let depth n =
     let rec go n d = if n = 0 then d else go ((n - 1) / 2) (d + 1) in

@@ -20,6 +20,9 @@ type score = {
 }
 
 val run_barracuda : ?max_steps:int -> Case.t list -> score
+(** The product path: each case through [Gpu_runtime.Session.run_stream]
+    with full logging, exactly what [barracuda check] runs. *)
+
 val run_racecheck : ?max_steps:int -> Case.t list -> score
 
 val run_reference : ?max_steps:int -> Case.t list -> score

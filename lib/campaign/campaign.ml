@@ -136,8 +136,8 @@ let run_machine ~seed ~trials cases =
 let oneshot_verdict (case : Case.t) =
   let machine = Simt.Machine.create ~layout:case.Case.layout () in
   let args = case.Case.setup machine in
-  let det, _ = Barracuda.Detector.run ~machine case.Case.kernel args in
-  Barracuda.Report.has_race (Barracuda.Detector.report det)
+  let r = Gpu_runtime.Session.run_stream ~machine case.Case.kernel args in
+  Barracuda.Report.has_race r.Gpu_runtime.Session.sr_report
 
 let run_service ~seed cases =
   let cases = Array.of_list cases in

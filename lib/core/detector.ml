@@ -117,7 +117,6 @@ type t = {
   records : int Atomic.t;
   census : int Atomic.t array; (* converged/diverged/nested/sparse *)
   seq_next : int Atomic.t array; (* per-producer expected sequence number *)
-  stage : Bytes.t; (* [feed]'s serialization buffer *)
   owns : (Ptx.Ast.space -> int -> int -> bool) option;
       (* shadow-cell ownership predicate for sharded detection: when
          present, only cells it accepts are checked (and their pages
@@ -130,8 +129,6 @@ type t = {
    advanced by the one consumer domain that owns that queue. *)
 let max_srcs = 64
 
-let no_values : int64 array = [||]
-
 let create ?(config = default_config) ?owns ~layout kernel =
   if layout.Layout.warp_size > Wire.max_lanes then
     invalid_arg
@@ -141,7 +138,6 @@ let create ?(config = default_config) ?owns ~layout kernel =
   {
     layout;
     config;
-    stage = Bytes.create Wire.size;
     owns;
     roles = Gtrace.Roles.classify kernel;
     warps =
@@ -533,26 +529,6 @@ let feed_record_from t ~src ~values buf ~pos =
 
 let feed_record t ~values buf ~pos = feed_record_from t ~src:0 ~values buf ~pos
 
-(* The event entry serializes through the shared event->record mapping
-   into the detector's private stage and runs the same record path, so
-   [run] and every direct feeder check exactly what the transport
-   ships.  Fences and kernel completion produce no record. *)
-let feed t ev =
-  let insn =
-    match ev with
-    | Simt.Event.Access a -> a.Simt.Event.insn
-    | Simt.Event.Branch_if { insn; _ } -> insn
-    | _ -> -1
-  in
-  if Wire.write_event t.stage ~pos:0 ~insn ev then begin
-    Atomic.incr t.records;
-    Telemetry.Metric.counter_incr m_records;
-    let values =
-      match ev with Simt.Event.Access a -> a.Simt.Event.values | _ -> no_values
-    in
-    process_record t ~values t.stage ~pos:0
-  end
-
 let stats t =
   let c = Atomic.get t.census.(0)
   and d = Atomic.get t.census.(1)
@@ -576,11 +552,3 @@ let stats t =
     ptvc_bytes;
     full_vc_bytes = total * total * 4;
   }
-
-let run ?config ?max_steps ~machine kernel args =
-  let layout = Simt.Machine.layout machine in
-  let t = create ?config ~layout kernel in
-  let result =
-    Simt.Machine.launch ?max_steps machine kernel args ~on_event:(feed t)
-  in
-  (t, result)

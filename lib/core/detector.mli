@@ -1,9 +1,9 @@
 (** The BARRACUDA race detector (optimized, record-driven).
 
-    Consumes fixed-size warp records ({!Wire}) — as the real system's
-    host detector does with records drained from GPU queues; simulator
-    events fed through {!feed} are serialized into the same records
-    first — and implements the operational
+    Consumes sealed fixed-size warp records ({!Wire}), as the real
+    system's host detector does with records drained from GPU queues —
+    the runtime's [Session.run_stream] serializes simulator events into
+    exactly these records — and implements the operational
     semantics of Figures 2–3 with all of the paper's optimizations:
 
     - per-thread vector clocks compressed at warp granularity
@@ -66,14 +66,6 @@ val create :
     @raise Invalid_argument if the layout's warp size exceeds
     {!Wire.max_lanes}: a record could not carry every lane. *)
 
-val feed : t -> Simt.Event.t -> unit
-(** Consume one simulator event: serialize it with {!Wire.write_event}
-    into the detector's private staging record and process that record
-    exactly as {!feed_record} would (without integrity checks — the
-    record never crossed a transport).  Fences and kernel completion
-    produce no record.  Single-producer: the staging record is shared,
-    so call it from one domain at a time. *)
-
 val feed_record : t -> values:int64 array -> Bytes.t -> pos:int -> unit
 (** Consume one 280-byte wire record ({!Wire}) in place at offset
     [pos] of [buf], without decoding it into an event — the
@@ -101,14 +93,3 @@ val feed_record_from :
 
 val report : t -> Report.t
 val stats : t -> stats
-
-val run :
-  ?config:config ->
-  ?max_steps:int ->
-  machine:Simt.Machine.t ->
-  Ptx.Ast.kernel ->
-  int64 array ->
-  t * Simt.Machine.result
-(** Convenience: launch the kernel on [machine] with {!feed} attached
-    to the event stream, so every event takes the product's wire-record
-    path. *)

@@ -132,8 +132,8 @@ let write_barrier_divergence b ~pos ~warp ~insn ~mask ~expected =
   write_header b ~pos ~opcode:op_barrier_divergence ~width:0 ~aux:expected
     ~mask ~warp ~insn
 
-(* The event->record mapping every producer shares ([Session.drive]
-   and [Detector.feed]).  [insn] is the static index stamped on access
+(* The event->record mapping behind the one producer,
+   [Session.drive].  [insn] is the static index stamped on access
    and branch_if records — the producer's remapping of the event's own
    index; else/fi and barrier records carry none, and a divergence
    keeps its own.  Matching on the event allocates nothing. *)

@@ -1,6 +1,7 @@
 module Sset = Set.Make (String)
 
 type key = {
+  store : bool;
   space : Ptx.Ast.space;
   base : Ptx.Ast.operand;
   offset : int;
@@ -14,9 +15,24 @@ module Kset = Set.Make (struct
 end)
 
 let access_key = function
-  | Ptx.Ast.Ld { space; width; addr; _ } | Ptx.Ast.St { space; width; addr; _ }
-    ->
-      Some { space; base = addr.Ptx.Ast.base; offset = addr.Ptx.Ast.offset; width }
+  | Ptx.Ast.Ld { space; width; addr; _ } ->
+      Some
+        {
+          store = false;
+          space;
+          base = addr.Ptx.Ast.base;
+          offset = addr.Ptx.Ast.offset;
+          width;
+        }
+  | Ptx.Ast.St { space; width; addr; _ } ->
+      Some
+        {
+          store = true;
+          space;
+          base = addr.Ptx.Ast.base;
+          offset = addr.Ptx.Ast.offset;
+          width;
+        }
   | Ptx.Ast.Atom _ ->
       (* atomics are never pruned: every RMW is a distinct event *)
       None

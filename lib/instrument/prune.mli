@@ -7,11 +7,14 @@
     event, and same-thread accesses in one block are program-ordered.
 
     [redundant k] marks, per instruction, the accesses whose logging the
-    optimized instrumentation drops.  An address is keyed by (state
-    space, base operand, offset, width); a key dies when its base
-    register is overwritten, and all keys die at basic-block
-    boundaries, barriers and fences (fences change the synchronization
-    role of neighbouring accesses). *)
+    optimized instrumentation drops.  An access is keyed by (kind, state
+    space, base operand, offset, width): a load stands in only for a
+    later load and a store only for a later store — a logged load
+    records no write, so a store it stood in for would vanish from the
+    detector's write history.  A key dies when its base register is
+    overwritten, and all keys die at basic-block boundaries, barriers
+    and fences (fences change the synchronization role of neighbouring
+    accesses). *)
 
 val redundant : ?exclude:bool array -> Ptx.Ast.kernel -> bool array
 (** [exclude] masks instructions (by original index) that must neither

@@ -66,9 +66,9 @@ let span_witness = Telemetry.Span.create "predict.witness"
 (* The races the recorded schedule already exposes, keyed like the
    report's dedup (location + unordered thread pair). *)
 let observed_races ~layout ops =
-  let s = Gpu_runtime.Session.open_ops ~max_reports:10_000 ~layout () in
-  Gpu_runtime.Session.feed_ops s ops;
-  let report = Gpu_runtime.Session.close_ops s in
+  let d = Barracuda.Reference.create ~max_reports:10_000 ~layout () in
+  Barracuda.Reference.run d ops;
+  let report = Barracuda.Reference.report d in
   let seen = Hashtbl.create 32 in
   List.iter
     (function

@@ -216,6 +216,7 @@ let parallel_sink ?(queues = default_queues)
       abort = join;
       detect_ns = (fun () -> !detect_ns);
       sink_records = (fun () -> !records);
+      sink_stats = (fun () -> Barracuda.Detector.stats detector);
     }
   in
   let stats () =

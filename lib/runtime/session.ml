@@ -11,6 +11,7 @@ type sink = {
   abort : unit -> unit;
   detect_ns : unit -> int64;
   sink_records : unit -> int;
+  sink_stats : unit -> Barracuda.Detector.stats;
 }
 
 (* Transport-fault injection between the producer's seal and the
@@ -125,6 +126,7 @@ let serial_sink ?(config = Barracuda.Detector.default_config) ?fault ~layout
     abort = (fun () -> ());
     detect_ns = (fun () -> !detect);
     sink_records = (fun () -> !records);
+    sink_stats = (fun () -> Barracuda.Detector.stats det);
   }
 
 (* ---- batch execution as a session -------------------------------- *)
@@ -242,6 +244,7 @@ type stream_result = {
   sr_machine_result : Simt.Machine.result;
   sr_records : int;
   sr_detect_ns : int64;
+  sr_stats : Barracuda.Detector.stats;
 }
 
 let run_stream ?sink ?(detector = Barracuda.Detector.default_config) ?max_steps
@@ -264,97 +267,8 @@ let run_stream ?sink ?(detector = Barracuda.Detector.default_config) ?max_steps
     sr_machine_result = mr;
     sr_records = sink.sink_records ();
     sr_detect_ns = sink.detect_ns ();
+    sr_stats = sink.sink_stats ();
   }
-
-(* ---- multi-launch sessions --------------------------------------- *)
-
-type rollup = {
-  r_kernel : string;
-  r_ns : int64;
-  r_records : int;
-  r_races : int;
-}
-
-type t = {
-  detector : Barracuda.Detector.config;
-  layout : Vclock.Layout.t;
-  mutable machine : Simt.Machine.t;
-  mutable launches : int;
-  mutable resets : int;
-  mutable reports : (string * Barracuda.Report.t) list; (* newest first *)
-  mutable rollups : rollup list; (* newest first *)
-}
-
-let m_launches =
-  Telemetry.Registry.counter ~help:"Session kernel launches"
-    Telemetry.Registry.default "barracuda_session_launches_total"
-
-let m_races =
-  Telemetry.Registry.counter
-    ~help:"Distinct races reported across session launches"
-    Telemetry.Registry.default "barracuda_session_races_total"
-
-let m_records =
-  Telemetry.Registry.counter
-    ~help:"Records shipped across session launches"
-    Telemetry.Registry.default "barracuda_session_records_total"
-
-let create ?(detector = Barracuda.Detector.default_config) ~layout () =
-  {
-    detector;
-    layout;
-    machine = Simt.Machine.create ~layout ();
-    launches = 0;
-    resets = 0;
-    reports = [];
-    rollups = [];
-  }
-
-let machine t = t.machine
-
-let launch ?max_steps t kernel args =
-  (* The per-launch rollup always carries a monotonic duration (cheap:
-     two clock reads per launch); the "launch" span additionally feeds
-     the registry when telemetry is enabled. *)
-  let t0 = Telemetry.Clock.now_ns () in
-  let sp = Telemetry.Span.create "launch" in
-  let result =
-    run_stream ~detector:t.detector ?max_steps
-      ~inst:(Instrument.Pass.instrument ~prune:true ~static:true kernel)
-      ~machine:t.machine kernel args
-  in
-  let ns = Telemetry.Clock.elapsed_ns ~since:t0 in
-  Telemetry.Span.record_ns sp ns;
-  let report = result.sr_report in
-  let races = Barracuda.Report.race_count report in
-  let records = result.sr_records in
-  Telemetry.Metric.counter_incr m_launches;
-  Telemetry.Metric.counter_add m_races races;
-  Telemetry.Metric.counter_add m_records records;
-  t.launches <- t.launches + 1;
-  t.reports <- (kernel.Ptx.Ast.kname, report) :: t.reports;
-  t.rollups <-
-    { r_kernel = kernel.Ptx.Ast.kname; r_ns = ns; r_records = records;
-      r_races = races }
-    :: t.rollups;
-  result
-
-let device_reset t =
-  (* every launch finishes its sink before returning (the "delay the
-     reset until the queues are fully drained" behaviour); the reset
-     frees the device state, and the next launch reinitializes *)
-  t.machine <- Simt.Machine.create ~layout:t.layout ();
-  t.resets <- t.resets + 1
-
-let launches t = t.launches
-let resets t = t.resets
-let reports t = List.rev t.reports
-let rollups t = List.rev t.rollups
-
-let total_races t =
-  List.fold_left
-    (fun acc (_, r) -> acc + Barracuda.Report.race_count r)
-    0 t.reports
 
 (* ---- streaming sessions ------------------------------------------ *)
 
@@ -566,34 +480,3 @@ let abort_stream st =
 
 let stream_records st = st.st_records
 let stream_detect_ns st = st.st_sink.detect_ns ()
-
-(* Op-plane sessions: the incremental lifecycle over abstract trace
-   operations.  The reference detector is synchronous, so there is no
-   quiesce step — a report between feeds is already epoch-aligned. *)
-
-type ops = {
-  o_ref : Barracuda.Reference.t;
-  mutable o_fed : int;
-  mutable o_closed : bool;
-}
-
-let open_ops ?max_reports ?filter_same_value ~layout () =
-  {
-    o_ref =
-      Barracuda.Reference.create ?max_reports ?filter_same_value ~layout ();
-    o_fed = 0;
-    o_closed = false;
-  }
-
-let feed_op o op =
-  if o.o_closed then invalid_arg "Session.feed_op: op-session is closed";
-  Barracuda.Reference.step o.o_ref op;
-  o.o_fed <- o.o_fed + 1
-
-let feed_ops o l = List.iter (feed_op o) l
-let ops_fed o = o.o_fed
-let ops_report o = Barracuda.Reference.report o.o_ref
-
-let close_ops o =
-  o.o_closed <- true;
-  Barracuda.Reference.report o.o_ref

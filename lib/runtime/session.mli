@@ -1,17 +1,4 @@
-(** Sessions: the host-side lifecycle around kernels (§4.1), in two
-    planes.
-
-    {b Multi-launch sessions} ({!t}) model the deployed BARRACUDA
-    living in the target process across kernel launches: device memory
-    persists, each launch is instrumented and checked, and a
-    [cudaDeviceReset] must wait until the log queues are fully drained
-    before the backing memory is released, after which the runtime
-    reinitializes on the next call.
-
-    Launches are serialized (one stream): everything a launch did is
-    ordered before the next launch begins, so each launch is checked
-    with fresh clocks while device memory carries over — two launches
-    never race with one another, only within themselves.
+(** Sessions: the host-side lifecycle around a kernel (§4.1).
 
     {b Streaming sessions} ({!stream}) are the incremental core every
     frontend shares: a session is opened against a kernel, fed chunks
@@ -20,7 +7,13 @@
     final verdict.  The same {!sink} abstraction also drives batch
     execution ({!drive}/{!run_stream}): a batch check is just a
     streaming session whose producer is the simulator, so any chunking
-    of a recorded stream reproduces the batch race set bitwise. *)
+    of a recorded stream reproduces the batch race set bitwise.
+
+    A program of several launches calls {!run_stream} once per launch
+    on one persistent {!Simt.Machine.t}: device memory carries over,
+    each launch is checked with fresh clocks (launches on one stream
+    are ordered, so they never race with one another), and a device
+    reset is a fresh machine. *)
 
 (** {1 Record sinks}
 
@@ -56,6 +49,10 @@ type sink = {
   detect_ns : unit -> int64;
       (** cumulative detector time (final after [finish]) *)
   sink_records : unit -> int;  (** records ingested *)
+  sink_stats : unit -> Barracuda.Detector.stats;
+      (** detector statistics; call only when quiesced (or after
+          [finish]).  A backend with several detectors sums them field
+          by field. *)
 }
 
 val serial_sink :
@@ -110,6 +107,7 @@ type stream_result = {
   sr_machine_result : Simt.Machine.result;
   sr_records : int;
   sr_detect_ns : int64;
+  sr_stats : Barracuda.Detector.stats;  (** the sink's [sink_stats] *)
 }
 
 val run_stream :
@@ -129,54 +127,10 @@ val run_stream :
     defaults to {!serial_sink} built from [detector] and [fault]; a
     caller-built sink gets only the machine faults of [fault] (build
     the sink with its own fault options).  [detector.max_reports]
-    bounds the report either way.  This is what every [barracuda
-    check] flag, the service's check jobs, repair validation and the
-    fault campaigns run. *)
-
-(** {1 Multi-launch sessions} *)
-
-type rollup = {
-  r_kernel : string;  (** kernel name *)
-  r_ns : int64;  (** monotonic launch duration *)
-  r_records : int;  (** records shipped through the queues *)
-  r_races : int;  (** distinct races reported *)
-}
-(** Per-launch telemetry rollup.  Durations use the monotonic clock
-    and are collected unconditionally; when telemetry is enabled each
-    launch additionally records a ["launch"] span and session counters
-    in {!Telemetry.Registry.default}. *)
-
-type t
-
-val create :
-  ?detector:Barracuda.Detector.config -> layout:Vclock.Layout.t -> unit -> t
-
-val machine : t -> Simt.Machine.t
-(** The device: persistent across launches until a reset. *)
-
-val launch :
-  ?max_steps:int -> t -> Ptx.Ast.kernel -> int64 array -> stream_result
-(** Instrument (pruning on), execute and race-check one kernel through
-    {!run_stream}. *)
-
-val device_reset : t -> unit
-(** Drain-and-reset: all records of prior launches are consumed (they
-    already are — [launch] finishes its sink before returning,
-    mirroring the delayed reset), device global memory is cleared, and the next
-    launch runs against a reinitialized device. *)
-
-val launches : t -> int
-(** Launches since creation (not cleared by resets). *)
-
-val resets : t -> int
-
-val reports : t -> (string * Barracuda.Report.t) list
-(** Per-launch reports, oldest first: (kernel name, report). *)
-
-val rollups : t -> rollup list
-(** Per-launch telemetry rollups, oldest first. *)
-
-val total_races : t -> int
+    bounds the report either way.  This is the one driver behind every
+    kernel verdict: every [barracuda check] flag, the service's check
+    jobs, repair validation, the fault campaigns, the bug-suite score,
+    [table1] and the warp-size sweep. *)
 
 (** {1 Streaming sessions}
 
@@ -237,37 +191,3 @@ val abort_stream : stream -> unit
 
 val stream_records : stream -> int
 val stream_detect_ns : stream -> int64
-
-(** {1 Op-plane sessions}
-
-    The same incremental lifecycle over abstract trace operations
-    ({!Gtrace.Op}) instead of wire records: one operation at a time
-    into the reference detector via [Reference.step], with a
-    verdict-so-far available between feeds.  [Replay.run] and the
-    predictive analysis' trace ingestion are thin drivers over this
-    plane, so a replayed trace is judged by the same incremental core
-    a live session is. *)
-
-type ops
-
-val open_ops :
-  ?max_reports:int ->
-  ?filter_same_value:bool ->
-  layout:Vclock.Layout.t ->
-  unit ->
-  ops
-
-val feed_op : ops -> Gtrace.Op.t -> unit
-(** @raise Invalid_argument on a closed op-session. *)
-
-val feed_ops : ops -> Gtrace.Op.t list -> unit
-
-val ops_fed : ops -> int
-(** Operations fed so far. *)
-
-val ops_report : ops -> Barracuda.Report.t
-(** Verdict-so-far; callable between feeds (the reference detector is
-    synchronous, so nothing is in flight). *)
-
-val close_ops : ops -> Barracuda.Report.t
-(** Final verdict; further feeds raise. *)

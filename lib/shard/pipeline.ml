@@ -25,6 +25,24 @@ type result = {
   detect_ns : int64;
 }
 
+(* Field-wise sum of the per-shard detector statistics. *)
+let sum_stats (a : Barracuda.Detector.stats) (b : Barracuda.Detector.stats) =
+  Barracuda.Detector.
+    {
+      accesses_checked = a.accesses_checked + b.accesses_checked;
+      records_processed = a.records_processed + b.records_processed;
+      ptvc_converged = a.ptvc_converged + b.ptvc_converged;
+      ptvc_diverged = a.ptvc_diverged + b.ptvc_diverged;
+      ptvc_nested = a.ptvc_nested + b.ptvc_nested;
+      ptvc_sparse = a.ptvc_sparse + b.ptvc_sparse;
+      shadow_pages = a.shadow_pages + b.shadow_pages;
+      shadow_cells = a.shadow_cells + b.shadow_cells;
+      shadow_bytes = a.shadow_bytes + b.shadow_bytes;
+      sync_locations = a.sync_locations + b.sync_locations;
+      ptvc_bytes = a.ptvc_bytes + b.ptvc_bytes;
+      full_vc_bytes = a.full_vc_bytes + b.full_vc_bytes;
+    }
+
 (* The engine as a session sink: the staging buffer is the engine's
    scratch record, so the producer serializes once and broadcasts in
    place; [quiesce] waits for every shard ring to drain. *)
@@ -38,6 +56,15 @@ let sink_of_engine engine =
     abort = (fun () -> Engine.abort engine);
     detect_ns = (fun () -> Engine.detect_ns engine);
     sink_records = (fun () -> Engine.records engine);
+    sink_stats =
+      (fun () ->
+        (* an engine has at least one shard *)
+        match Array.to_list (Engine.detectors engine) with
+        | d :: rest ->
+            List.fold_left
+              (fun acc d -> sum_stats acc (Barracuda.Detector.stats d))
+              (Barracuda.Detector.stats d) rest
+        | [] -> assert false);
   }
 
 (* [Session.run_stream] over the sharded sink; the engine is kept to

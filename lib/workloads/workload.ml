@@ -27,11 +27,6 @@ let run_native ?max_steps w =
   let args = w.setup m in
   Simt.Machine.launch ?max_steps m w.kernel args
 
-let run_detector ?max_steps w =
-  let m = machine w in
-  let args = w.setup m in
-  Barracuda.Detector.run ?max_steps ~machine:m w.kernel args
-
 let run_pipeline ?sink ?detector ?max_steps ?inst w =
   let m = machine w in
   let args = w.setup m in

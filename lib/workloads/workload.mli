@@ -37,9 +37,6 @@ val machine : t -> Simt.Machine.t
 val run_native : ?max_steps:int -> t -> Simt.Machine.result
 (** Launch the original kernel with no instrumentation or logging. *)
 
-val run_detector : ?max_steps:int -> t -> Barracuda.Detector.t * Simt.Machine.result
-(** Launch with the detector attached directly to the event stream. *)
-
 val run_pipeline :
   ?sink:Gpu_runtime.Session.sink ->
   ?detector:Barracuda.Detector.config ->

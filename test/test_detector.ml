@@ -171,9 +171,11 @@ let run_both prog =
   let config =
     { Barracuda.Detector.default_config with max_reports = 100000 }
   in
-  let det, _ = Barracuda.Detector.run ~config ~machine:m2 k args2 in
+  let r =
+    Gpu_runtime.Session.run_stream ~detector:config ~machine:m2 k args2
+  in
   ( race_set (Barracuda.Reference.report reference),
-    race_set (Barracuda.Detector.report det) )
+    race_set r.Gpu_runtime.Session.sr_report )
 
 let pp_race_key ppf k =
   Format.fprintf ppf "%a: %a t%d vs %a t%d" Gtrace.Loc.pp k.loc Report.pp_kind
@@ -206,8 +208,8 @@ let detect prog =
   let k = Gen.kernel_of_program prog in
   let m = Simt.Machine.create ~layout:lay () in
   let args = Gen.setup m in
-  let det, _ = Barracuda.Detector.run ~machine:m k args in
-  Barracuda.Detector.report det
+  (Gpu_runtime.Session.run_stream ~machine:m k args)
+    .Gpu_runtime.Session.sr_report
 
 let test_rule_write_write () =
   let r = detect [ Gen.Global_store (0, Gen.Lane_dependent) ] in

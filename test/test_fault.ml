@@ -270,8 +270,8 @@ let test_deadline_stops_spin () =
 let oneshot_verdict (case : Case.t) =
   let machine = Simt.Machine.create ~layout:case.Case.layout () in
   let args = case.Case.setup machine in
-  let det, _ = Detector.run ~machine case.Case.kernel args in
-  Report.has_race (Detector.report det)
+  let r = Gpu_runtime.Session.run_stream ~machine case.Case.kernel args in
+  Report.has_race r.Gpu_runtime.Session.sr_report
 
 let scheduler_with_cases ~plan cases =
   let by_name = Hashtbl.create 16 in

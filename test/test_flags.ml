@@ -68,8 +68,7 @@ let test_flag_invariance () =
 
 (* Two verdicts that depend on the driver: a cross-block release chain
    is clean only in device order, and a lock without an acquire fence
-   races only when the original kernel runs (the pruned instrumented
-   one hides it). *)
+   keeps all 8 of its races. *)
 let test_known_verdicts () =
   let case name =
     List.find (fun (c : Bugsuite.Case.t) -> c.Bugsuite.Case.name = name)
@@ -82,6 +81,19 @@ let test_known_verdicts () =
     (with_telemetry (fun () -> races trc));
   let lmf = case "lock_missing_acquire_fence" in
   Alcotest.(check int) "lock_missing_acquire_fence: 8 races" 8 (races lmf)
+
+(* The sink and the detector count the same stream: on a fault-free run
+   every record the sink ingests is processed by the detector exactly
+   once, so [sr_stats.records_processed] equals [sr_records]. *)
+let test_record_counts_agree () =
+  List.iter
+    (fun (c : Bugsuite.Case.t) ->
+      let r = check_with c in
+      Alcotest.(check int)
+        (c.Bugsuite.Case.name ^ ": detector records = sink records")
+        r.Session.sr_records
+        r.Session.sr_stats.Barracuda.Detector.records_processed)
+    Bugsuite.Cases.all
 
 (* ---- warps wider than a wire record ------------------------------ *)
 
@@ -164,6 +176,8 @@ let suite =
       `Quick test_flag_invariance;
     Alcotest.test_case "known verdicts hold under every flag" `Quick
       test_known_verdicts;
+    Alcotest.test_case "detector and sink record counts agree" `Quick
+      test_record_counts_agree;
     Alcotest.test_case "wide warps rejected by the detector" `Quick
       test_wide_warp_rejected;
     Alcotest.test_case "wide warps: check exits 2" `Quick test_wide_warp_cli;

@@ -13,6 +13,13 @@ let run ?config ops = A.run ?config ~layout ops
 
 let statuses a = List.map (fun (p : A.prediction) -> p.A.status) a.A.predictions
 
+(* What [barracuda replay] does with a trace: the reference detector
+   over every recorded operation. *)
+let replay ~layout ops =
+  let d = Barracuda.Reference.create ~layout () in
+  Barracuda.Reference.run d ops;
+  Barracuda.Reference.report d
+
 let witness_races (a : A.t) =
   List.for_all
     (fun (p : A.prediction) ->
@@ -20,9 +27,7 @@ let witness_races (a : A.t) =
       | None -> true
       | Some w ->
           w.Predict.Witness.feasible
-          && Barracuda.Report.has_race
-               (Gpu_runtime.Replay.run
-                  (Gpu_runtime.Replay.of_ops ~layout w.Predict.Witness.ops)))
+          && Barracuda.Report.has_race (replay ~layout w.Predict.Witness.ops))
     a.A.predictions
 
 (* ---- Hand-built traces -------------------------------------------- *)
@@ -125,10 +130,10 @@ let case_named name =
 let online_and_predict (case : Bugsuite.Case.t) =
   let m = Simt.Machine.create ~layout:case.Bugsuite.Case.layout () in
   let args = case.Bugsuite.Case.setup m in
-  let det, _ =
-    Barracuda.Detector.run ~machine:m case.Bugsuite.Case.kernel args
+  let r =
+    Gpu_runtime.Session.run_stream ~machine:m case.Bugsuite.Case.kernel args
   in
-  let online = Barracuda.Report.has_race (Barracuda.Detector.report det) in
+  let online = Barracuda.Report.has_race r.Gpu_runtime.Session.sr_report in
   let m2 = Simt.Machine.create ~layout:case.Bugsuite.Case.layout () in
   let args2 = case.Bugsuite.Case.setup m2 in
   let ops, _ =
@@ -145,7 +150,7 @@ let check_hidden_race name () =
   Alcotest.(check bool) "race predicted" true (A.predicted_count a > 0);
   Alcotest.(check int) "every prediction confirmed" (A.predicted_count a)
     (A.confirmed_count a);
-  Alcotest.(check bool) "witness replays race through the replay path" true
+  Alcotest.(check bool) "witness replays race through the reference" true
     (List.for_all
        (fun (p : A.prediction) ->
          match p.A.witness with
@@ -153,10 +158,8 @@ let check_hidden_race name () =
          | Some w ->
              w.Predict.Witness.feasible
              && Barracuda.Report.has_race
-                  (Gpu_runtime.Replay.run
-                     (Gpu_runtime.Replay.of_ops
-                        ~layout:case.Bugsuite.Case.layout
-                        w.Predict.Witness.ops)))
+                  (replay ~layout:case.Bugsuite.Case.layout
+                     w.Predict.Witness.ops))
        a.A.predictions)
 
 let test_predictive_twin_race_free () =

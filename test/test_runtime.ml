@@ -1,5 +1,5 @@
 (* Runtime layer: the record wire format, lock-free queues (including
-   under domains), and the end-to-end driver vs direct detection. *)
+   under domains), and the end-to-end driver. *)
 
 module Wire = Barracuda.Wire
 module Queue = Gpu_runtime.Queue
@@ -358,29 +358,6 @@ let race_fingerprint report =
 
 let detector = { Barracuda.Detector.default_config with max_reports = 100000 }
 
-(* The sealed record stream must be transparent: a detector fed the
-   exact event stream the driver forwards (its tee) must agree with the
-   detector fed through sealed records.  (Comparing against a separate
-   native run would be too strong: instrumentation changes warp
-   interleaving, and FastTrack-style detection is schedule-sensitive.) *)
-let prop_pipeline_matches_teed_detector =
-  QCheck2.Test.make
-    ~name:"single-queue pipeline equals a detector fed the same events"
-    ~count:150 ~print:Gen.print_program Gen.gen_program (fun prog ->
-      let k = Gen.kernel_of_program prog in
-      let m = Simt.Machine.create ~layout:Gen.layout () in
-      let args = Gen.setup m in
-      let direct =
-        Barracuda.Detector.create ~config:detector ~layout:Gen.layout k
-      in
-      let r =
-        Session.run_stream ~detector
-          ~inst:(Instrument.Pass.instrument ~prune:false ~static:true k)
-          ~tee:(Barracuda.Detector.feed direct) ~machine:m k args
-      in
-      race_fingerprint (Barracuda.Detector.report direct)
-      = race_fingerprint r.Session.sr_report)
-
 (* Weaker cross-run property that survives schedule perturbation: a
    race-free program stays race-free through the instrumented check. *)
 let prop_pipeline_no_false_positives =
@@ -390,8 +367,8 @@ let prop_pipeline_no_false_positives =
       let k = Gen.kernel_of_program prog in
       let m1 = Simt.Machine.create ~layout:Gen.layout () in
       let args1 = Gen.setup m1 in
-      let det, _ = Barracuda.Detector.run ~machine:m1 k args1 in
-      if Report.has_race (Barracuda.Detector.report det) then
+      let plain = Session.run_stream ~detector ~machine:m1 k args1 in
+      if Report.has_race plain.Session.sr_report then
         QCheck2.assume_fail ()
       else begin
         let m2 = Simt.Machine.create ~layout:Gen.layout () in
@@ -465,6 +442,5 @@ let suite =
   @ List.map Gen.to_alcotest
       [
         prop_view_matches_writer;
-        prop_pipeline_matches_teed_detector;
         prop_pipeline_no_false_positives;
       ]

@@ -530,18 +530,19 @@ let arg_specs (c : Case.t) =
 
 type verdict_or_timeout = V of P.verdict | Timeout
 
-(* One-shot reference: the same printed source through the same
-   session-core path the service's serial jobs use. *)
+(* One-shot reference: the same printed source through plain [check] —
+   [Session.run_stream] with full logging, not the daemon's pruned
+   instrumentation — so the parity test catches a pruning rule that
+   loses a race. *)
 let oneshot_verdict (c : Case.t) source =
   let kernel = Ptx.Parser.kernel_of_string source in
   let layout = c.Case.layout in
   let machine = Simt.Machine.create ~layout () in
   let args = Service.Exec.resolve_args machine kernel (arg_specs c) in
-  let inst = Instrument.Pass.instrument ~prune:true ~static:true kernel in
   let result =
     Gpu_runtime.Session.run_stream
-      ~max_steps:Service.Exec.default_config.Service.Exec.max_steps ~inst
-      ~machine kernel args
+      ~max_steps:Service.Exec.default_config.Service.Exec.max_steps ~machine
+      kernel args
   in
   match
     result.Gpu_runtime.Session.sr_machine_result.Simt.Machine.status

@@ -1,4 +1,8 @@
-(* Multi-launch sessions (§4.1) and the §3.4 correctness invariant. *)
+(* Multi-launch programs (§4.1) and the §3.4 correctness invariant.
+
+   A program of several launches runs [Session.run_stream] once per
+   launch on one persistent machine; a device reset is a fresh
+   machine. *)
 
 module Ast = Ptx.Ast
 module B = Ptx.Builder
@@ -31,46 +35,44 @@ let racy_kernel =
   B.st b (B.sym "buf") (Ast.Sreg Ast.Tid);
   B.finish b
 
+let launch machine kernel args =
+  (Session.run_stream ~machine kernel (Array.map Int64.of_int args))
+    .Session.sr_report
+
 let test_memory_persists_across_launches () =
-  let s = Session.create ~layout () in
-  let buf = Simt.Machine.alloc_global (Session.machine s) 256 in
-  let out = Simt.Machine.alloc_global (Session.machine s) 256 in
-  let _ = Session.launch s writer_kernel [| Int64.of_int buf |] in
-  let _ =
-    Session.launch s reader_kernel [| Int64.of_int buf; Int64.of_int out |]
-  in
-  Alcotest.(check int) "two launches" 2 (Session.launches s);
+  let m = Simt.Machine.create ~layout () in
+  let buf = Simt.Machine.alloc_global m 256 in
+  let out = Simt.Machine.alloc_global m 256 in
+  let r1 = launch m writer_kernel [| buf |] in
+  let r2 = launch m reader_kernel [| buf; out |] in
   (* launch boundaries synchronize: no cross-launch race *)
-  Alcotest.(check int) "no races across launches" 0 (Session.total_races s);
+  Alcotest.(check int) "no races across launches" 0
+    (Barracuda.Report.race_count r1 + Barracuda.Report.race_count r2);
   (* the second launch really read the first launch's data *)
   Alcotest.(check int64) "data flowed" 5L
-    (Simt.Machine.peek (Session.machine s) ~addr:(out + (4 * 5)) ~width:4)
+    (Simt.Machine.peek m ~addr:(out + (4 * 5)) ~width:4)
 
 let test_per_launch_reports () =
-  let s = Session.create ~layout () in
-  let buf = Simt.Machine.alloc_global (Session.machine s) 256 in
-  let _ = Session.launch s writer_kernel [| Int64.of_int buf |] in
-  let _ = Session.launch s racy_kernel [| Int64.of_int buf |] in
-  match Session.reports s with
-  | [ ("writer", r1); ("racy", r2) ] ->
-      Alcotest.(check bool) "writer clean" false (Barracuda.Report.has_race r1);
-      Alcotest.(check bool) "racy flagged" true (Barracuda.Report.has_race r2)
-  | _ -> Alcotest.fail "unexpected report list"
+  let m = Simt.Machine.create ~layout () in
+  let buf = Simt.Machine.alloc_global m 256 in
+  let r1 = launch m writer_kernel [| buf |] in
+  let r2 = launch m racy_kernel [| buf |] in
+  Alcotest.(check bool) "writer clean" false (Barracuda.Report.has_race r1);
+  Alcotest.(check bool) "racy flagged" true (Barracuda.Report.has_race r2)
 
 let test_device_reset () =
-  let s = Session.create ~layout () in
-  let buf = Simt.Machine.alloc_global (Session.machine s) 256 in
-  let _ = Session.launch s writer_kernel [| Int64.of_int buf |] in
+  let m = Simt.Machine.create ~layout () in
+  let buf = Simt.Machine.alloc_global m 256 in
+  ignore (launch m writer_kernel [| buf |]);
   Alcotest.(check bool) "memory written" true
-    (Simt.Machine.peek (Session.machine s) ~addr:(buf + 8) ~width:4 <> 0L);
-  Session.device_reset s;
-  Alcotest.(check int) "reset counted" 1 (Session.resets s);
-  let buf2 = Simt.Machine.alloc_global (Session.machine s) 256 in
+    (Simt.Machine.peek m ~addr:(buf + 8) ~width:4 <> 0L);
+  let m = Simt.Machine.create ~layout () in
+  let buf2 = Simt.Machine.alloc_global m 256 in
   Alcotest.(check int64) "memory cleared" 0L
-    (Simt.Machine.peek (Session.machine s) ~addr:(buf2 + 8) ~width:4);
-  (* the session keeps working after the reset *)
-  let _ = Session.launch s writer_kernel [| Int64.of_int buf2 |] in
-  Alcotest.(check int) "launches survive reset" 2 (Session.launches s)
+    (Simt.Machine.peek m ~addr:(buf2 + 8) ~width:4);
+  (* checking keeps working on the fresh device *)
+  Alcotest.(check bool) "clean after reset" false
+    (Barracuda.Report.has_race (launch m writer_kernel [| buf2 |]))
 
 (* ---- §3.4 invariant ------------------------------------------------- *)
 

@@ -39,13 +39,13 @@ let detector_config =
 
 (* Block-local pruning is off in both runs so the only difference is
    the static tier — the property under test in isolation. *)
-let serial_report ~static (c : Bugsuite.Case.t) =
+let serial_report ?(prune = false) ~static (c : Bugsuite.Case.t) =
   let m = Simt.Machine.create ~layout:c.Bugsuite.Case.layout () in
   let args = c.Bugsuite.Case.setup m in
   let kernel = c.Bugsuite.Case.kernel in
   let r =
     Session.run_stream ~detector:detector_config
-      ~inst:(Instrument.Pass.instrument ~prune:false ~static kernel)
+      ~inst:(Instrument.Pass.instrument ~prune ~static kernel)
       ~machine:m kernel args
   in
   r.Session.sr_report
@@ -261,18 +261,26 @@ let test_static_racy_dynamic_agreement () =
 (* ---- soundness over the bug suite -------------------------------- *)
 
 (* For every case (the 66-program suite plus the predictive family),
-   the race set with static pruning must be bitwise identical to the
-   unpruned one — serial and sharded.  This is the proof obligation
-   for dropping logging: no seeded racy access may be classified
-   Safe. *)
+   the race set with static pruning, with intra-block pruning, and with
+   both must be bitwise identical to the unpruned one — serial, and
+   sharded for static pruning.  This is the proof obligation for
+   dropping logging: no seeded racy access may be classified Safe, and
+   no access may be stood in for by one the detector treats
+   differently. *)
 let test_bugsuite_parity_serial () =
   List.iter
     (fun (c : Bugsuite.Case.t) ->
       let baseline = race_set (serial_report ~static:false c) in
-      let pruned = race_set (serial_report ~static:true c) in
-      if baseline <> pruned then
-        Alcotest.failf "%s: static pruning changed the serial race set"
-          c.Bugsuite.Case.name)
+      List.iter
+        (fun (prune, static, what) ->
+          if race_set (serial_report ~prune ~static c) <> baseline then
+            Alcotest.failf "%s: %s changed the serial race set"
+              c.Bugsuite.Case.name what)
+        [
+          (false, true, "static pruning");
+          (true, false, "intra-block pruning");
+          (true, true, "both pruning tiers");
+        ])
     (Bugsuite.Cases.all @ Bugsuite.Cases.predictive)
 
 let test_bugsuite_parity_sharded () =

@@ -1,8 +1,8 @@
 (* The streaming-session core (lib/runtime/session + lib/runtime/stream):
    the load-bearing claim is chunk invariance — feeding a recorded wire
    stream through a session in ANY chunking (1-byte, mid-record,
-   straddling barrier epochs) yields bitwise the batch race set.  Plus the stream file codec,
-   the op-plane lifecycle, and the scheduler's session seats. *)
+   straddling barrier epochs) yields bitwise the batch race set.  Plus
+   the stream file codec and the scheduler's session seats. *)
 
 module Report = Barracuda.Report
 module Session = Gpu_runtime.Session
@@ -267,33 +267,6 @@ let test_bad_header_rejected () =
   | _ -> Alcotest.fail "expected Stream.Framing"
   | exception Stream.Framing _ -> ()
 
-(* ---- op-plane lifecycle ------------------------------------------ *)
-
-let test_ops_lifecycle () =
-  let layout = Gen.layout in
-  let s = Session.open_ops ~layout () in
-  let loc = Gtrace.Loc.global 0x100 in
-  Session.feed_ops s
-    [
-      Gtrace.Op.Wr { tid = 0; loc; value = 1L };
-      Gtrace.Op.Endi { warp = 0; mask = 1 };
-    ];
-  Alcotest.(check bool) "no race yet" false
-    (Report.has_race (Session.ops_report s));
-  Session.feed_ops s
-    [
-      Gtrace.Op.Wr { tid = 9; loc; value = 2L };
-      Gtrace.Op.Endi { warp = 2; mask = 2 };
-    ];
-  Alcotest.(check bool) "verdict-so-far sees the race" true
-    (Report.has_race (Session.ops_report s));
-  Alcotest.(check int) "ops counted" 4 (Session.ops_fed s);
-  let final = Session.close_ops s in
-  Alcotest.(check bool) "final verdict" true (Report.has_race final);
-  match Session.feed_op s (Gtrace.Op.Endi { warp = 0; mask = 1 }) with
-  | () -> Alcotest.fail "feed after close must raise"
-  | exception Invalid_argument _ -> ()
-
 (* ---- scheduler session seats ------------------------------------- *)
 
 let scheduler_config =
@@ -393,7 +366,6 @@ let suite =
       test_stream_file_roundtrip;
     Alcotest.test_case "bad stream header rejected" `Quick
       test_bad_header_rejected;
-    Alcotest.test_case "op-plane lifecycle" `Quick test_ops_lifecycle;
     Alcotest.test_case "session seats are bounded and reusable" `Quick
       test_seats_bounded;
     Alcotest.test_case "stop zeroes every scheduler gauge" `Quick

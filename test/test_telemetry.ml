@@ -211,11 +211,15 @@ let test_verdicts_unchanged () =
   List.iter
     (fun (w : W.t) ->
       Telemetry.Registry.set_enabled false;
-      let off, _ = W.run_detector w in
-      let off_report = Barracuda.Detector.report off in
+      let check () =
+        let m = W.machine w in
+        let args = w.W.setup m in
+        (Gpu_runtime.Session.run_stream ~machine:m w.W.kernel args)
+          .Gpu_runtime.Session.sr_report
+      in
+      let off_report = check () in
       with_telemetry (fun () ->
-          let on, _ = W.run_detector w in
-          let on_report = Barracuda.Detector.report on in
+          let on_report = check () in
           Alcotest.(check int)
             (Printf.sprintf "%s: race count unchanged" w.W.name)
             (Barracuda.Report.race_count off_report)
@@ -225,30 +229,6 @@ let test_verdicts_unchanged () =
             (Barracuda.Report.has_race off_report)
             (Barracuda.Report.has_race on_report)))
     Workloads.Registry.all
-
-let test_session_rollups () =
-  with_telemetry (fun () ->
-      let w = Workloads.Registry.find "backprop" in
-      let layout = w.W.layout in
-      let session = Gpu_runtime.Session.create ~layout () in
-      let args = w.W.setup (Gpu_runtime.Session.machine session) in
-      ignore (Gpu_runtime.Session.launch session w.W.kernel args);
-      let args = w.W.setup (Gpu_runtime.Session.machine session) in
-      ignore (Gpu_runtime.Session.launch session w.W.kernel args);
-      let rollups = Gpu_runtime.Session.rollups session in
-      Alcotest.(check int) "one rollup per launch" 2 (List.length rollups);
-      List.iter
-        (fun (r : Gpu_runtime.Session.rollup) ->
-          Alcotest.(check string) "rollup names the kernel"
-            w.W.kernel.Ptx.Ast.kname r.Gpu_runtime.Session.r_kernel;
-          Alcotest.(check bool) "rollup shipped records" true
-            (r.Gpu_runtime.Session.r_records > 0);
-          Alcotest.(check bool) "monotonic duration positive" true
-            (r.Gpu_runtime.Session.r_ns > 0L))
-        rollups;
-      Alcotest.(check int) "session launch counter" 2
-        (Telemetry.Registry.find_counter Telemetry.Registry.default
-           "barracuda_session_launches_total"))
 
 let suite =
   [
@@ -265,5 +245,4 @@ let suite =
     Alcotest.test_case "stage spans exported" `Quick test_stage_spans_in_json;
     Alcotest.test_case "verdicts unchanged by telemetry" `Quick
       test_verdicts_unchanged;
-    Alcotest.test_case "session rollups" `Quick test_session_rollups;
   ]

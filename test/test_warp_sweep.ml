@@ -57,20 +57,20 @@ let setup m = [| Int64.of_int (Simt.Machine.alloc_global m 256) |]
 
 let find_verdict r ws =
   List.find
-    (fun (v : Barracuda.Warp_sweep.verdict) -> v.Barracuda.Warp_sweep.warp_size = ws)
-    r.Barracuda.Warp_sweep.verdicts
+    (fun (v : Gpu_runtime.Warp_sweep.verdict) -> v.Gpu_runtime.Warp_sweep.warp_size = ws)
+    r.Gpu_runtime.Warp_sweep.verdicts
 
 let test_latent_assumption_found () =
-  let r = Barracuda.Warp_sweep.sweep ~layout ~setup warpsync_kernel in
-  Alcotest.(check bool) "latent flag" true r.Barracuda.Warp_sweep.latent;
+  let r = Gpu_runtime.Warp_sweep.sweep ~layout ~setup warpsync_kernel in
+  Alcotest.(check bool) "latent flag" true r.Gpu_runtime.Warp_sweep.latent;
   Alcotest.(check int) "clean at warp 32" 0
-    (find_verdict r 32).Barracuda.Warp_sweep.races;
+    (find_verdict r 32).Gpu_runtime.Warp_sweep.races;
   Alcotest.(check int) "clean at warp 16" 0
-    (find_verdict r 16).Barracuda.Warp_sweep.races;
+    (find_verdict r 16).Gpu_runtime.Warp_sweep.races;
   Alcotest.(check bool) "racy at warp 8" true
-    ((find_verdict r 8).Barracuda.Warp_sweep.races > 0);
+    ((find_verdict r 8).Gpu_runtime.Warp_sweep.races > 0);
   Alcotest.(check bool) "racy at warp 4" true
-    ((find_verdict r 4).Barracuda.Warp_sweep.races > 0)
+    ((find_verdict r 4).Gpu_runtime.Warp_sweep.races > 0)
 
 let test_portable_kernel_clean_everywhere () =
   (* the reduction above uses one level at stride 16; with the accesses
@@ -84,41 +84,41 @@ let test_portable_kernel_clean_everywhere () =
   B.mad b a (B.reg g) (B.imm 4) (B.sym "out");
   B.st b (B.reg a) (Ast.Sreg Ast.Tid);
   let k = B.finish b in
-  let r = Barracuda.Warp_sweep.sweep ~layout ~setup k in
-  Alcotest.(check bool) "no latent flag" false r.Barracuda.Warp_sweep.latent;
+  let r = Gpu_runtime.Warp_sweep.sweep ~layout ~setup k in
+  Alcotest.(check bool) "no latent flag" false r.Gpu_runtime.Warp_sweep.latent;
   List.iter
-    (fun (v : Barracuda.Warp_sweep.verdict) ->
+    (fun (v : Gpu_runtime.Warp_sweep.verdict) ->
       Alcotest.(check int)
-        (Printf.sprintf "clean at warp %d" v.Barracuda.Warp_sweep.warp_size)
-        0 v.Barracuda.Warp_sweep.races)
-    r.Barracuda.Warp_sweep.verdicts
+        (Printf.sprintf "clean at warp %d" v.Gpu_runtime.Warp_sweep.warp_size)
+        0 v.Gpu_runtime.Warp_sweep.races)
+    r.Gpu_runtime.Warp_sweep.verdicts
 
 let test_racy_everywhere_not_latent () =
   let b = B.create ~params:[ "out" ] "allracy" in
   B.st b (B.sym "out") (Ast.Sreg Ast.Tid);
   let k = B.finish b in
-  let r = Barracuda.Warp_sweep.sweep ~layout ~setup k in
+  let r = Gpu_runtime.Warp_sweep.sweep ~layout ~setup k in
   Alcotest.(check bool) "racy at every width, so not latent" false
-    r.Barracuda.Warp_sweep.latent;
+    r.Gpu_runtime.Warp_sweep.latent;
   List.iter
-    (fun (v : Barracuda.Warp_sweep.verdict) ->
+    (fun (v : Gpu_runtime.Warp_sweep.verdict) ->
       Alcotest.(check bool)
-        (Printf.sprintf "racy at warp %d" v.Barracuda.Warp_sweep.warp_size)
+        (Printf.sprintf "racy at warp %d" v.Gpu_runtime.Warp_sweep.warp_size)
         true
-        (v.Barracuda.Warp_sweep.races > 0))
-    r.Barracuda.Warp_sweep.verdicts
+        (v.Gpu_runtime.Warp_sweep.races > 0))
+    r.Gpu_runtime.Warp_sweep.verdicts
 
 let test_sweep_includes_native_width () =
   let lay5 = Vclock.Layout.make ~warp_size:5 ~threads_per_block:10 ~blocks:1 in
   let b = B.create ~params:[ "out" ] "tiny" in
   B.ret b;
   let k = B.finish b in
-  let r = Barracuda.Warp_sweep.sweep ~layout:lay5 ~setup k in
+  let r = Gpu_runtime.Warp_sweep.sweep ~layout:lay5 ~setup k in
   Alcotest.(check bool) "native width swept" true
     (List.exists
-       (fun (v : Barracuda.Warp_sweep.verdict) ->
-         v.Barracuda.Warp_sweep.warp_size = 5)
-       r.Barracuda.Warp_sweep.verdicts)
+       (fun (v : Gpu_runtime.Warp_sweep.verdict) ->
+         v.Gpu_runtime.Warp_sweep.warp_size = 5)
+       r.Gpu_runtime.Warp_sweep.verdicts)
 
 let suite =
   [

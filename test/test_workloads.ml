@@ -1,16 +1,18 @@
 (* Workload suite: each Table 1 benchmark must run to completion and
-   report exactly its seeded race profile, natively, under the direct
-   detector, and through the full pipeline. *)
+   report exactly its seeded race profile, natively, under the plain
+   [check] path (full logging), and through the pruned pipeline. *)
 
 module W = Workloads.Workload
 
 let check_workload (w : W.t) () =
-  let det, result = W.run_detector w in
-  (match result.Simt.Machine.status with
+  let m = W.machine w in
+  let args = w.W.setup m in
+  let r = Gpu_runtime.Session.run_stream ~machine:m w.W.kernel args in
+  (match r.Gpu_runtime.Session.sr_machine_result.Simt.Machine.status with
   | Simt.Machine.Completed -> ()
   | Simt.Machine.Max_steps _ | Simt.Machine.Deadline _ ->
       Alcotest.fail "did not complete");
-  let report = Barracuda.Detector.report det in
+  let report = r.Gpu_runtime.Session.sr_report in
   let shared, global = W.racy_word_counts report in
   Alcotest.(check bool)
     (Format.asprintf "%s: expected %a, found %d shared / %d global"
